@@ -1,57 +1,55 @@
 """Experiment configuration: JSON parsing, validation, and canonicalization.
 
-Validation errors name the offending field with a dotted path so a bad
-config fails loudly and precisely. to_canonical_dict fills every default,
-giving a stable round-trippable form.
+Each config block is a dataclass, and the dataclass is its schema: a
+field's annotation gives its JSON type, a declared default makes it
+optional, and any other key is rejected. Value checks live in each
+dataclass's __post_init__. Errors name the offending field with a dotted
+path so a bad config fails loudly and precisely. to_canonical_dict reads
+the same fields back with every default filled, giving a stable
+round-trippable form.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import data as data_mod
-from .diffnet import ACTIVATIONS, NetworkSpec
+from .diffnet import NetworkSpec
 from .errors import ConfigurationError
 from .scoring import DEFAULT_ENTROPY_FLOOR, METRICS
-from .unlearn import METHODS, UnlearnConfig
+from .unlearn import METHOD_FIELDS, UnlearnConfig
 
 DEFAULT_EXPANSION_KS = (0, 10, 50)
 
+# The fields each dataset type reads besides `type` and `standardize`; all
+# of them are required for that type and rejected for the others.
+DATASET_FIELDS = {
+    "blobs": ("n_per_class", "centers", "std"),
+    "csv": ("path", "label_column"),
+    "idx": ("images", "labels"),
+}
 
-def _require(block: dict, key: str, path: str):
-    if key not in block:
-        raise ConfigurationError(f"{path}.{key}: missing required field")
-    return block[key]
-
-
-def _positive(value, path: str) -> float:
-    value = _number(value, path)
-    if value <= 0:
-        raise ConfigurationError(f"{path}: must be positive, got {value}")
-    return value
+_JSON_TYPES = {bool: "true or false", int: "an integer",
+               float: "a finite number", str: "a string"}
 
 
-def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{path}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _positive_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigurationError(f"{path}: expected a positive integer, got {value!r}")
-    return value
+def _check(ok: bool, name: str, requirement: str, value) -> None:
+    if not ok:
+        raise ConfigurationError(f"{name}: {requirement}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    kind: str                      # "blobs" | "csv" | "idx"
+    type: str                      # a key of DATASET_FIELDS
     n_per_class: int = 0
-    centers: tuple = ()
+    centers: tuple[tuple[float, ...], ...] = ()
     std: float = 0.0
     path: str = ""
     label_column: str = ""
@@ -59,96 +57,37 @@ class DatasetConfig:
     labels: str = ""
     standardize: bool = False
 
-    @staticmethod
-    def from_dict(block: dict, path: str = "dataset") -> "DatasetConfig":
-        kind = _require(block, "type", path)
-        standardize = bool(block.get("standardize", False))
-        if kind == "blobs":
-            centers = _require(block, "centers", path)
-            if (
-                not isinstance(centers, list)
-                or len(centers) < 2
-                or any(not isinstance(c, list) for c in centers)
-            ):
-                raise ConfigurationError(
-                    f"{path}.centers: expected a list of at least 2 coordinate lists"
-                )
-            return DatasetConfig(
-                kind="blobs",
-                n_per_class=_positive_int(
-                    _require(block, "n_per_class", path), f"{path}.n_per_class"
-                ),
-                centers=tuple(tuple(float(v) for v in c) for c in centers),
-                std=_positive(_require(block, "std", path), f"{path}.std"),
-                standardize=standardize,
-            )
-        if kind == "csv":
-            return DatasetConfig(
-                kind="csv",
-                path=str(_require(block, "path", path)),
-                label_column=str(_require(block, "label_column", path)),
-                standardize=standardize,
-            )
-        if kind == "idx":
-            return DatasetConfig(
-                kind="idx",
-                images=str(_require(block, "images", path)),
-                labels=str(_require(block, "labels", path)),
-                standardize=standardize,
-            )
-        raise ConfigurationError(
-            f"{path}.type: expected 'blobs', 'csv', or 'idx', got {kind!r}"
-        )
+    def __post_init__(self) -> None:
+        if self.type == "blobs":
+            _check(self.n_per_class > 0, "n_per_class", "must be positive",
+                   self.n_per_class)
+            _check(len(self.centers) >= 2 and len(set(map(len, self.centers))) == 1,
+                   "centers", "expected at least 2 coordinate lists of one length",
+                   self.centers)
+            _check(self.std > 0, "std", "must be positive", self.std)
 
     def build(self, seed: int) -> data_mod.LabeledDataset:
-        if self.kind == "blobs":
+        if self.type == "blobs":
             ds = data_mod.make_blobs(
                 self.n_per_class, np.asarray(self.centers), self.std, seed
             )
-        elif self.kind == "csv":
+        elif self.type == "csv":
             ds = data_mod.load_csv(self.path, self.label_column)
         else:
             ds = data_mod.load_idx(self.images, self.labels)
         return data_mod.standardize_features(ds) if self.standardize else ds
-
-    def to_dict(self) -> dict:
-        if self.kind == "blobs":
-            return {
-                "type": "blobs",
-                "n_per_class": self.n_per_class,
-                "centers": [list(c) for c in self.centers],
-                "std": self.std,
-                "standardize": self.standardize,
-            }
-        if self.kind == "csv":
-            return {
-                "type": "csv", "path": self.path,
-                "label_column": self.label_column, "standardize": self.standardize,
-            }
-        return {
-            "type": "idx", "images": self.images, "labels": self.labels,
-            "standardize": self.standardize,
-        }
 
 
 @dataclass(frozen=True)
 class TrainingConfig:
     lr: float
     epochs: int
-    batch_size: int
+    batch_size: int = 32
 
-    @staticmethod
-    def from_dict(block: dict, path: str = "training") -> "TrainingConfig":
-        return TrainingConfig(
-            lr=_positive(_require(block, "lr", path), f"{path}.lr"),
-            epochs=_positive_int(_require(block, "epochs", path), f"{path}.epochs"),
-            batch_size=_positive_int(
-                block.get("batch_size", 32), f"{path}.batch_size"
-            ),
-        )
-
-    def to_dict(self) -> dict:
-        return {"lr": self.lr, "epochs": self.epochs, "batch_size": self.batch_size}
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            _check(value > 0, f.name, "must be positive", value)
 
 
 @dataclass(frozen=True)
@@ -168,160 +107,116 @@ class ExperimentConfig:
     msksd_global: bool = False
     mia_calibrate_on_original: bool = False
 
+    def __post_init__(self) -> None:
+        _check(0 < self.test_fraction < 1, "test_fraction", "must lie in (0, 1)",
+               self.test_fraction)
+        for i, metric in enumerate(self.metrics):
+            _check(metric in METRICS, f"metrics[{i}]",
+                   f"unknown metric; choose from {METRICS}", metric)
+        _check(self.top_k_each_end > 0, "top_k_each_end", "must be positive",
+               self.top_k_each_end)
+        ks = list(self.expansion_ks)
+        _check(ks[0] >= 0 and ks == sorted(ks), "expansion_ks",
+               "expected an ascending list of integers >= 0", ks)
+        _check(self.epsilon >= 0, "epsilon", "must be >= 0", self.epsilon)
+        for i, seed in enumerate(self.seeds):
+            _check(seed >= 0, f"seeds[{i}]", "must be >= 0", seed)
+        _check(self.entropy_floor > 0, "entropy_floor", "must be positive",
+               self.entropy_floor)
+
     @staticmethod
     def from_dict(cfg: dict) -> "ExperimentConfig":
-        if not isinstance(cfg, dict):
-            raise ConfigurationError("config root must be a JSON object")
-        dataset = DatasetConfig.from_dict(_require(cfg, "dataset", "config"))
-        net_block = _require(cfg, "network", "config")
-        sizes = _require(net_block, "layer_sizes", "network")
-        if not isinstance(sizes, list) or any(
-            isinstance(s, bool) or not isinstance(s, int) for s in sizes
-        ):
-            raise ConfigurationError("network.layer_sizes: expected a list of integers")
-        activation = net_block.get("activation", "relu")
-        if activation not in ACTIVATIONS:
-            raise ConfigurationError(
-                f"network.activation: expected one of {ACTIVATIONS}, got {activation!r}"
-            )
-        try:
-            network = NetworkSpec(tuple(sizes), activation)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"network.layer_sizes: {exc}") from exc
-        training = TrainingConfig.from_dict(_require(cfg, "training", "config"))
-
-        test_fraction = _number(
-            _require(cfg, "test_fraction", "config"), "test_fraction"
-        )
-        if not 0 < test_fraction < 1:
-            raise ConfigurationError(
-                f"test_fraction: must lie in (0, 1), got {test_fraction}"
-            )
-
-        metrics = _require(cfg, "metrics", "config")
-        if not isinstance(metrics, list) or not metrics:
-            raise ConfigurationError("metrics: expected a nonempty list")
-        for m in metrics:
-            if m not in METRICS:
-                raise ConfigurationError(
-                    f"metrics: unknown metric {m!r}; choose from {METRICS}"
-                )
-
-        methods_block = _require(cfg, "methods", "config")
-        if not isinstance(methods_block, list) or not methods_block:
-            raise ConfigurationError("methods: expected a nonempty list")
-        methods = []
-        for i, mb in enumerate(methods_block):
-            if not isinstance(mb, dict) or "method" not in mb:
-                raise ConfigurationError(
-                    f"methods[{i}]: expected an object with a 'method' field"
-                )
-            name = mb["method"]
-            if name not in METHODS:
-                raise ConfigurationError(
-                    f"methods[{i}].method: unknown method {name!r}; "
-                    f"choose from {METHODS}"
-                )
-            known = {"method", "lr", "epochs", "overfit_threshold", "alpha",
-                     "batch_size", "seed"}
-            extra = set(mb) - known
-            if extra:
-                raise ConfigurationError(
-                    f"methods[{i}]: unknown fields {sorted(extra)}"
-                )
-            try:
-                methods.append(UnlearnConfig(**mb))
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"methods[{i}]: {exc}") from exc
-
-        seeds = cfg.get("seeds", [0])
-        if not isinstance(seeds, list) or not seeds or any(
-            isinstance(s, bool) or not isinstance(s, int) for s in seeds
-        ):
-            raise ConfigurationError("seeds: expected a nonempty list of integers")
-
-        expansion_ks = cfg.get("expansion_ks", list(DEFAULT_EXPANSION_KS))
-        if (
-            not isinstance(expansion_ks, list)
-            or not expansion_ks
-            or any(isinstance(k, bool) or not isinstance(k, int) or k < 0
-                   for k in expansion_ks)
-            or sorted(expansion_ks) != expansion_ks
-        ):
-            raise ConfigurationError(
-                "expansion_ks: expected a nonempty ascending list of integers >= 0"
-            )
-
-        epsilon = _number(cfg.get("epsilon", 0.05), "epsilon")
-        if epsilon < 0:
-            raise ConfigurationError(f"epsilon: must be >= 0, got {epsilon}")
-
-        entropy_floor = _positive(
-            cfg.get("entropy_floor", DEFAULT_ENTROPY_FLOOR), "entropy_floor"
-        )
-
-        known_top = {"dataset", "network", "training", "test_fraction", "metrics",
-                     "methods", "top_k_each_end", "expansion_ks", "epsilon", "seeds",
-                     "output_dir", "entropy_floor", "msksd_global",
-                     "mia_calibrate_on_original"}
-        extra = set(cfg) - known_top
-        if extra:
-            raise ConfigurationError(f"config: unknown fields {sorted(extra)}")
-
-        return ExperimentConfig(
-            dataset=dataset,
-            network=network,
-            training=training,
-            test_fraction=test_fraction,
-            metrics=tuple(metrics),
-            methods=tuple(methods),
-            top_k_each_end=_positive_int(
-                cfg.get("top_k_each_end", 5), "top_k_each_end"
-            ),
-            expansion_ks=tuple(expansion_ks),
-            epsilon=epsilon,
-            seeds=tuple(seeds),
-            output_dir=str(cfg.get("output_dir", "out")),
-            entropy_floor=entropy_floor,
-            msksd_global=bool(cfg.get("msksd_global", False)),
-            mia_calibrate_on_original=bool(
-                cfg.get("mia_calibrate_on_original", False)
-            ),
-        )
+        return _parse(ExperimentConfig, cfg, "")
 
     def to_canonical_dict(self) -> dict:
-        methods = []
-        for m in self.methods:
-            entry = {"method": m.method, "seed": m.seed}
-            if m.method in ("grad_ascent", "fine_tune", "retrain"):
-                entry["lr"] = m.lr
-                entry["epochs"] = m.epochs
-            if m.method == "grad_ascent":
-                entry["overfit_threshold"] = m.overfit_threshold
-            if m.method == "fisher":
-                entry["alpha"] = m.alpha
-            if m.method in ("fine_tune", "retrain"):
-                entry["batch_size"] = m.batch_size
-            methods.append(entry)
-        return {
-            "dataset": self.dataset.to_dict(),
-            "network": {
-                "layer_sizes": list(self.network.layer_sizes),
-                "activation": self.network.activation,
-            },
-            "training": self.training.to_dict(),
-            "test_fraction": self.test_fraction,
-            "metrics": list(self.metrics),
-            "methods": methods,
-            "top_k_each_end": self.top_k_each_end,
-            "expansion_ks": list(self.expansion_ks),
-            "epsilon": self.epsilon,
-            "seeds": list(self.seeds),
-            "output_dir": self.output_dir,
-            "entropy_floor": self.entropy_floor,
-            "msksd_global": self.msksd_global,
-            "mia_calibrate_on_original": self.mia_calibrate_on_original,
-        }
+        return _canonical(self)
+
+
+# Blocks whose accepted fields depend on a selector field: the selector, the
+# fields each of its values adds to the block's other fields, and whether
+# those added fields are required (method fields have defaults).
+_VARIANTS = {
+    DatasetConfig: ("type", DATASET_FIELDS, True),
+    UnlearnConfig: ("method", METHOD_FIELDS, False),
+}
+
+
+def _fields(cls, kind: str | None) -> list[dataclasses.Field]:
+    """The fields a block of `cls` accepts when its selector is `kind`."""
+    if cls not in _VARIANTS:
+        return list(dataclasses.fields(cls))
+    table = _VARIANTS[cls][1]
+    variant = {name for names in table.values() for name in names}
+    return [f for f in dataclasses.fields(cls)
+            if f.name not in variant or f.name in table[kind]]
+
+
+def _parse(cls, block, path: str):
+    """Build dataclass `cls` from the JSON object `block` found at `path`."""
+    where = path or "config"
+    if not isinstance(block, dict):
+        raise ConfigurationError(f"{where}: expected a JSON object, got {block!r}")
+    kind, required = None, set()
+    if cls in _VARIANTS:
+        key, table, kind_fields_required = _VARIANTS[cls]
+        if key not in block:
+            raise ConfigurationError(f"{where}.{key}: missing required field")
+        kind = block[key]
+        _check(isinstance(kind, str) and kind in table, f"{where}.{key}",
+               f"expected one of {tuple(table)}", kind)
+        if kind_fields_required:
+            required = set(table[kind])
+    fields = _fields(cls, kind)
+    unknown = sorted(set(block) - {f.name for f in fields})
+    if unknown:
+        raise ConfigurationError(f"{where}: unknown fields {unknown}")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in fields:
+        if f.name in block:
+            values[f.name] = _typed(block[f.name], hints[f.name], _dotted(path, f.name))
+        elif f.name in required or f.default is dataclasses.MISSING:
+            raise ConfigurationError(f"{where}.{f.name}: missing required field")
+    try:
+        return cls(**values)
+    except ConfigurationError as exc:
+        raise ConfigurationError(_dotted(path, str(exc))) from exc
+
+
+def _typed(value, hint, path: str):
+    """`value` as the JSON type that the annotation `hint` stands for."""
+    if dataclasses.is_dataclass(hint):
+        return _parse(hint, value, path)
+    if typing.get_origin(hint) is tuple:
+        _check(isinstance(value, list) and len(value) > 0, path,
+               "expected a nonempty list", value)
+        item = typing.get_args(hint)[0]
+        return tuple(_typed(v, item, f"{path}[{i}]") for i, v in enumerate(value))
+    if hint is float:
+        # the comparison also rejects NaN, and ints too large for a float
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and abs(value) <= sys.float_info.max)
+    elif hint is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, hint)
+    _check(ok, path, f"expected {_JSON_TYPES[hint]}", value)
+    return float(value) if hint is float else value
+
+
+def _dotted(path: str, rest: str) -> str:
+    return f"{path}.{rest}" if path else rest
+
+
+def _canonical(value):
+    """JSON form of a parsed value: each block as the fields it accepts."""
+    if dataclasses.is_dataclass(value):
+        cls = type(value)
+        kind = getattr(value, _VARIANTS[cls][0]) if cls in _VARIANTS else None
+        return {f.name: _canonical(getattr(value, f.name)) for f in _fields(cls, kind)}
+    if isinstance(value, tuple):
+        return [_canonical(v) for v in value]
+    return value
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, ConfigurationError, LabelError, ShapeError
+from .errors import (
+    ArgumentError, ConfigurationError, LabelError, NumericalError, ShapeError,
+)
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -28,14 +30,16 @@ class NetworkSpec:
         sizes = tuple(int(s) for s in self.layer_sizes)
         object.__setattr__(self, "layer_sizes", sizes)
         if len(sizes) < 2:
-            raise ConfigurationError("network needs at least input and output layers")
+            raise ConfigurationError("layer_sizes: need at least input and output layers")
         if any(s < 1 for s in sizes):
-            raise ConfigurationError(f"all layer sizes must be >= 1, got {sizes}")
+            raise ConfigurationError(f"layer_sizes: every size must be >= 1, got {sizes}")
         if sizes[-1] < 2:
-            raise ConfigurationError("output layer must have at least 2 classes")
+            raise ConfigurationError(
+                "layer_sizes: the output layer needs at least 2 classes"
+            )
         if self.activation not in ACTIVATIONS:
             raise ConfigurationError(
-                f"activation must be one of {ACTIVATIONS}, got {self.activation!r}"
+                f"activation: expected one of {ACTIVATIONS}, got {self.activation!r}"
             )
 
     @property
@@ -96,7 +100,7 @@ class MlpModel:
                 f"expected {self.layout.n_params} parameters, got {self.params.shape}"
             )
         if not np.all(np.isfinite(self.params)):
-            raise ShapeError("parameter vector contains non-finite entries")
+            raise NumericalError("parameter vector contains non-finite entries")
 
     def weight(self, layer: int) -> np.ndarray:
         lo, hi = self.layout.weight_slices[layer]
@@ -342,6 +346,9 @@ def hidden_activations(model: MlpModel, X: np.ndarray) -> list[np.ndarray]:
     return acts[1:]
 
 
+# overflow in a diverging run surfaces as non-finite parameters, which
+# with_params rejects on every step
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     model: MlpModel,
     X: np.ndarray,
@@ -357,7 +364,8 @@ def train(
     Deterministic for fixed (model, data, hyperparameters, seed). epochs=0
     returns an identical copy. on_epoch, when given, is called with
     (epoch_index, model) after each epoch; it observes but cannot alter
-    the run.
+    the run. A step that makes a parameter non-finite raises NumericalError
+    naming its epoch and batch step.
     """
     if lr <= 0:
         raise ConfigurationError(f"learning rate must be positive, got {lr}")
@@ -374,10 +382,15 @@ def train(
     current = model.copy()
     for epoch in range(epochs):
         perm = rng.permutation(n)
-        for start in range(0, n, batch_size):
+        for step, start in enumerate(range(0, n, batch_size)):
             idx = perm[start : start + batch_size]
             g = grad_params(current, X[idx], y[idx])
-            current = current.with_params(current.params - lr * g)
+            try:
+                current = current.with_params(current.params - lr * g)
+            except NumericalError as exc:
+                raise NumericalError(
+                    f"SGD diverged at epoch {epoch}, batch step {step}: {exc}"
+                ) from exc
         if on_epoch is not None:
             on_epoch(epoch, current)
     return current

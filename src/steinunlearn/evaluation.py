@@ -8,12 +8,13 @@ degradation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffnet
-from .errors import ArgumentError, ComparisonError
+from .errors import ArgumentError, ComparisonError, NumericalError
 from .unlearn import UnlearnOutcome
 
 DEFAULT_EPSILON = 0.05
@@ -36,7 +37,7 @@ class LayerwiseDistance:
 
 @dataclass
 class UnlearnReport:
-    """Everything measured about one unlearning run."""
+    """Everything measured about one unlearning run; every value is finite."""
 
     forget_acc: float
     retain_acc: float
@@ -52,6 +53,12 @@ class UnlearnReport:
     success: bool
     epsilon: float
     test_acc_original: float
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            for v in value if isinstance(value, list) else (value,):
+                if not math.isfinite(v):
+                    raise NumericalError(f"non-finite {name}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -148,6 +155,7 @@ def mia_efficacy(
     return float((forget_conf < tau).mean())
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verdict(
     original: diffnet.MlpModel,
     outcome: UnlearnOutcome,
@@ -161,6 +169,8 @@ def verdict(
 
     Success requires the unlearned model to misclassify every target sample
     and the original-to-unlearned test accuracy drop to stay within epsilon.
+    A diverged model, whose measurements overflow, raises NumericalError
+    naming the first non-finite field.
     """
     model = outcome.unlearned
     if original.spec != model.spec:

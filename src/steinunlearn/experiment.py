@@ -111,7 +111,19 @@ def train_base(config: ExperimentConfig, seed: int) -> TrainedBase:
         model, train_X, train_y, tr.lr, tr.epochs, tr.batch_size, seed,
         on_epoch=record,
     )
+    return score_base(config, seed, ds, plan, model, log)
 
+
+def score_base(
+    config: ExperimentConfig,
+    seed: int,
+    ds: LabeledDataset,
+    plan: SplitPlan,
+    model: diffnet.MlpModel,
+    train_log: list[dict],
+) -> TrainedBase:
+    """Score `model` on the training split of `plan` and rank every metric."""
+    train_X, train_y = gather(ds, plan.train_ids)
     bandwidth = stein.median_bandwidth(train_X)
     table = stein.score_table(model, ds, plan.train_ids)
     kernel = stein.stein_kernel_matrix(ds, table, bandwidth)
@@ -122,7 +134,9 @@ def train_base(config: ExperimentConfig, seed: int) -> TrainedBase:
         )
         for metric in config.metrics
     }
-    return TrainedBase(seed, ds, plan, model, bandwidth, table, kernel, rankings, log)
+    return TrainedBase(
+        seed, ds, plan, model, bandwidth, table, kernel, rankings, train_log
+    )
 
 
 def select_targets(

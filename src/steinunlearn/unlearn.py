@@ -17,7 +17,18 @@ from .data import LabeledDataset, gather
 from .errors import ArgumentError, ConfigurationError, NumericalError
 from .stein import SteinKernelMatrix
 
-METHODS = ("grad_ascent", "fine_tune", "fisher", "retrain")
+# The hyperparameters each method reads besides `seed`. Parsing accepts only
+# these in a method's config block, and only these appear in its canonical form.
+METHOD_FIELDS = {
+    "grad_ascent": ("lr", "epochs", "overfit_threshold"),
+    "fine_tune": ("lr", "epochs", "batch_size"),
+    "fisher": ("alpha",),
+    "retrain": ("lr", "epochs", "batch_size"),
+}
+METHODS = tuple(METHOD_FIELDS)
+
+# Method fields that must be positive; the others must be >= 0.
+POSITIVE_FIELDS = ("lr", "batch_size")
 
 FISHER_DAMPING = 1e-8
 
@@ -35,21 +46,16 @@ class UnlearnConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
+        if self.method not in METHOD_FIELDS:
             raise ConfigurationError(
-                f"method must be one of {METHODS}, got {self.method!r}"
+                f"method: expected one of {METHODS}, got {self.method!r}"
             )
-        if self.method in ("grad_ascent", "fine_tune", "retrain"):
-            if self.lr <= 0:
-                raise ConfigurationError(f"{self.method}: lr must be positive")
-            if self.epochs < 0:
-                raise ConfigurationError(f"{self.method}: epochs must be >= 0")
-        if self.method == "grad_ascent" and self.overfit_threshold < 0:
-            raise ConfigurationError("grad_ascent: overfit_threshold must be >= 0")
-        if self.method == "fisher" and self.alpha < 0:
-            raise ConfigurationError("fisher: alpha must be >= 0")
-        if self.method in ("fine_tune", "retrain") and self.batch_size < 1:
-            raise ConfigurationError(f"{self.method}: batch_size must be >= 1")
+        for name in METHOD_FIELDS[self.method] + ("seed",):
+            value = getattr(self, name)
+            if name in POSITIVE_FIELDS and value <= 0:
+                raise ConfigurationError(f"{name}: must be positive, got {value!r}")
+            if value < 0:
+                raise ConfigurationError(f"{name}: must be >= 0, got {value!r}")
 
 
 @dataclass
@@ -92,13 +98,13 @@ def grad_ascent(
             if loss >= cfg.overfit_threshold:
                 break
             g = diffnet.grad_params(current, X, y)
-            new_params = current.params + cfg.lr * g
-            if not np.all(np.isfinite(new_params)):
+            try:
+                current = current.with_params(current.params + cfg.lr * g)
+            except NumericalError as exc:
                 raise NumericalError(
                     f"gradient ascent diverged to non-finite parameters; "
                     f"last finite step was {steps}"
-                )
-            current = current.with_params(new_params)
+                ) from exc
             steps += 1
     return UnlearnOutcome(current, steps, time.perf_counter() - t0)
 
@@ -140,7 +146,9 @@ def fisher_forget(
     if cfg.alpha == 0.0:
         return UnlearnOutcome(model.copy(), 0, time.perf_counter() - t0)
     fim = diffnet.fisher_diagonal(model, X, y)
-    sigma = np.sqrt(cfg.alpha / (fim + FISHER_DAMPING))
+    # an overflowing sigma gives non-finite parameters, which with_params rejects
+    with np.errstate(over="ignore"):
+        sigma = np.sqrt(cfg.alpha / (fim + FISHER_DAMPING))
     rng = np.random.default_rng(cfg.seed)
     noise = rng.standard_normal(model.params.shape[0]) * sigma
     return UnlearnOutcome(

@@ -1,11 +1,12 @@
 """Config validation, canonicalization, CLI subcommands, pipeline behavior."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from steinunlearn import cli, experiment
+from steinunlearn import cli, diffnet, experiment
 from steinunlearn.config import ExperimentConfig, dump_config, load_config
 from steinunlearn.errors import ConfigurationError, NumericalError
 
@@ -34,6 +35,44 @@ def mini_config_dict(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+_MINI = mini_config_dict()
+_GA = _MINI["methods"][0]
+
+# Each case: what to override in mini_config_dict, and the dotted path the
+# error must name.
+BAD_CONFIGS = [
+    pytest.param({"dataset": {**_MINI["dataset"], "standardise": True}},
+                 r"dataset: unknown fields \['standardise'\]", id="typo-standardise"),
+    pytest.param({"training": {**_MINI["training"], "batchsize": 16}},
+                 r"training: unknown fields \['batchsize'\]", id="typo-batchsize"),
+    pytest.param({"network": {"layer_sizes": [2, 8, 3], "activaton": "relu"}},
+                 r"network: unknown fields \['activaton'\]", id="typo-activaton"),
+    pytest.param({"dataset": {**_MINI["dataset"], "standardize": "false"}},
+                 r"dataset\.standardize: expected true or false", id="string-bool"),
+    pytest.param({"msksd_global": "no"},
+                 r"msksd_global: expected true or false", id="string-bool-top"),
+    pytest.param({"methods": [{"method": "fisher", "alpha": 1e-5, "lr": 0.1}]},
+                 r"methods\[0\]: unknown fields \['lr'\]", id="field-of-other-method"),
+    pytest.param({"methods": [{**_GA, "lr": "0.1"}]},
+                 r"methods\[0\]\.lr: expected a finite number", id="string-lr"),
+    pytest.param({"dataset": {**_MINI["dataset"],
+                              "centers": [["a", 0], [4, 0], [0, 4]]}},
+                 r"dataset\.centers\[0\]\[0\]: expected a finite number",
+                 id="string-center"),
+    pytest.param({"methods": [{**_GA, "epochs": 2.5}]},
+                 r"methods\[0\]\.epochs: expected an integer", id="fractional-epochs"),
+    pytest.param({"dataset": {**_MINI["dataset"], "centers": [[0, 0], [1]]}},
+                 r"dataset\.centers: expected at least 2 coordinate lists of one length",
+                 id="ragged-centers"),
+    pytest.param({"seeds": [-1]}, r"seeds\[0\]: must be >= 0", id="negative-seed"),
+    pytest.param({"methods": [{**_GA, "seed": -1}]},
+                 r"methods\[0\]\.seed: must be >= 0", id="negative-method-seed"),
+    pytest.param({"epsilon": float("nan")}, r"epsilon: expected a finite number",
+                 id="nan-epsilon"),
+    pytest.param({"output_dir": 5}, r"output_dir: expected a string", id="number-path"),
+]
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -80,6 +119,24 @@ class TestConfigValidation:
         raw = mini_config_dict(metrics=[])
         with pytest.raises(ConfigurationError, match="metrics"):
             ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("overrides, match", BAD_CONFIGS)
+    def test_bad_input_rejected_with_dotted_path(self, overrides, match, tmp_path,
+                                                 capsys):
+        raw = mini_config_dict(**overrides)
+        with pytest.raises(ConfigurationError, match=match):
+            ExperimentConfig.from_dict(raw)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["experiment", "--config", str(path)]) == 1
+        assert re.search(match, capsys.readouterr().err)
+
+    def test_method_numbers_canonicalise_as_floats(self):
+        as_int = mini_config_dict(methods=[{**_GA, "lr": 1}])
+        as_float = mini_config_dict(methods=[{**_GA, "lr": 1.0}])
+        dumped = dump_config(ExperimentConfig.from_dict(as_int))
+        assert dumped == dump_config(ExperimentConfig.from_dict(as_float))
+        assert '"lr": 1.0' in dumped
 
     def test_round_trip_is_fixpoint(self):
         cfg = ExperimentConfig.from_dict(mini_config_dict())
@@ -134,6 +191,21 @@ class TestScoreCommand:
         lines = (tmp_path / "out" / "rankings-s0.csv").read_text().strip().split("\n")
         ranks = sorted(int(line.split(",")[3]) for line in lines[1:])
         assert ranks == list(range(len(lines) - 1))
+
+    def test_model_flag_scores_without_training(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, output_dir=str(out))
+        cli.main(["train", "--config", str(cfg_path)])
+        cli.main(["score", "--config", str(cfg_path)])
+        trained = (out / "rankings-s0.csv").read_bytes()
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("score --model must not train")
+
+        monkeypatch.setattr(diffnet, "train", no_training)
+        assert cli.main(["score", "--config", str(cfg_path),
+                         "--model", str(out / "model-s0.json")]) == 0
+        assert (out / "rankings-s0.csv").read_bytes() == trained
 
     def test_rerun_identical(self, tmp_path):
         cfg_path = write_config(tmp_path, output_dir=str(tmp_path / "out"))
@@ -204,6 +276,19 @@ class TestExperimentCommand:
                 assert row["status"].startswith("error")
             else:
                 assert row["status"] == "ok"
+
+    def test_non_finite_measurements_fail_their_rows(self, tmp_path):
+        cfg_path = write_config(
+            tmp_path,
+            network={"layer_sizes": [2, 32, 32, 3], "activation": "relu"},
+            methods=[{"method": "fisher", "alpha": 1e300}],
+            output_dir=str(tmp_path / "out"),
+        )
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
+        lines = (tmp_path / "out" / "report.csv").read_text().strip().split("\n")
+        statuses = {line.rsplit(",", 1)[1] for line in lines[1:]}
+        assert len(lines) == 11
+        assert all(s.startswith("error: non-finite ") for s in statuses), statuses
 
     def test_seed_override(self, tmp_path):
         cfg_path = write_config(tmp_path, seeds=[0, 1],

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from steinunlearn import diffnet
 from steinunlearn.data import make_blobs
-from steinunlearn.errors import ConfigurationError, LabelError, ShapeError
+from steinunlearn.errors import (
+    ConfigurationError, LabelError, NumericalError, ShapeError,
+)
 
 from conftest import fd_grad_input, fd_grad_params, random_model, rel_close
 
@@ -213,6 +215,13 @@ class TestTrain:
         with pytest.raises(ConfigurationError):
             diffnet.train(model, np.zeros((2, 2)), np.array([0, 1]),
                           lr=0.0, epochs=1, batch_size=1, seed=0)
+
+    def test_divergence_raises_numerical_error_naming_step(self):
+        ds = make_blobs(30, np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]), 0.8, 0)
+        model = diffnet.init_network(diffnet.NetworkSpec((2, 8, 3)), 0)
+        with pytest.raises(NumericalError, match="epoch 0, batch step"):
+            diffnet.train(model, ds.features, ds.labels, lr=1e200, epochs=3,
+                          batch_size=16, seed=0)
 
     def test_single_step_decreases_sample_nll(self):
         # one tiny SGD step on a single sample must lower that sample's loss
