@@ -128,7 +128,13 @@ def cmd_unlearn(config: ExperimentConfig, method: str, target: int, k: int) -> i
 
 
 def cmd_evaluate(config: ExperimentConfig, original_path: str,
-                 unlearned_path: str, targets: list[int]) -> int:
+                 unlearned_path: str, target_text: str) -> int:
+    try:
+        targets = [int(t) for t in target_text.split(",")]
+    except ValueError:
+        raise ConfigurationError(
+            f"--targets: expected comma-separated sample ids, got {target_text!r}"
+        ) from None
     out = _out_dir(config)
     seed = config.seeds[0]
     ds = config.dataset.build(seed)
@@ -235,8 +241,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "unlearn":
             return cmd_unlearn(config, args.method, args.target, args.k)
         if args.command == "evaluate":
-            targets = [int(t) for t in args.targets.split(",")]
-            return cmd_evaluate(config, args.original, args.unlearned, targets)
+            return cmd_evaluate(config, args.original, args.unlearned, args.targets)
         return cmd_experiment(config)
     except (SteinUnlearnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -119,17 +119,33 @@ class MlpModel:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer intermediates of one forward pass.
+    """Per-layer intermediates of one forward pass over an (n, d) batch.
 
-    activations[0] is the input vector; activations[l] feeds layer l.
-    pre_activations[l] is the affine output of layer l; the last one is
-    the logits vector.
+    activations[0] is the input batch; activations[l] feeds layer l.
+    pre_activations[l] is the affine output of layer l; the last one holds
+    the logits. Every loss, gradient and measurement reads from one trace.
     """
 
     pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
-    logits: np.ndarray
     probs: np.ndarray
+
+    @property
+    def logits(self) -> np.ndarray:
+        return self.pre_activations[-1]
+
+    @property
+    def hidden(self) -> list[np.ndarray]:
+        """Post-nonlinearity hidden-layer outputs, per layer."""
+        return self.activations[1:]
+
+    def nll(self, y: np.ndarray) -> np.ndarray:
+        """Per-sample negative log-likelihood, computed as logsumexp - logit."""
+        z = self.logits
+        y = _check_labels(y, z.shape[1], z.shape[0])
+        m = z.max(axis=1)
+        lse = m + np.log(np.exp(z - m[:, None]).sum(axis=1))
+        return lse - z[np.arange(z.shape[0]), y]
 
 
 def init_network(spec: NetworkSpec, seed: int) -> MlpModel:
@@ -158,18 +174,9 @@ def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 - t * t
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the last axis."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _forward_batch(
-    model: MlpModel, X: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Run the net on an (n, d) batch; returns (activations, pre_activations, probs)."""
-    X = np.asarray(X, dtype=np.float64)
+def forward(model: MlpModel, X: np.ndarray) -> ForwardTrace:
+    """The one forward pass: run the net on an (n, d) batch (a vector is one row)."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.ndim != 2 or X.shape[1] != model.spec.input_dim:
         raise ShapeError(
             f"expected batch of shape (n, {model.spec.input_dim}), got {X.shape}"
@@ -186,114 +193,87 @@ def _forward_batch(
         if layer < last:
             a = _activate(z, model.spec.activation)
             acts.append(a)
-    return acts, zs, softmax(zs[-1])
+    # softmax, shifted by the row maximum so that exp cannot overflow
+    e = np.exp(zs[-1] - zs[-1].max(axis=1, keepdims=True))
+    return ForwardTrace(zs, acts, e / e.sum(axis=1, keepdims=True))
 
 
-def forward(model: MlpModel, x: np.ndarray) -> ForwardTrace:
-    """Forward pass for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError(f"expected a 1-D feature vector, got shape {x.shape}")
-    acts, zs, probs = _forward_batch(model, x[None, :])
-    return ForwardTrace(
-        pre_activations=[z[0] for z in zs],
-        activations=[a[0] for a in acts],
-        logits=zs[-1][0],
-        probs=probs[0],
-    )
-
-
-def _check_labels(y: np.ndarray, n_classes: int) -> np.ndarray:
+def _check_labels(y: np.ndarray, n_classes: int, n: int) -> np.ndarray:
+    """Labels as int64 for a nonempty batch of n samples, each in [0, n_classes)."""
+    if n == 0:
+        raise ArgumentError("batch is empty")
     y = np.asarray(y)
     if y.ndim == 0:
         y = y[None]
     y = y.astype(np.int64)
-    if y.size and (y.min() < 0 or y.max() >= n_classes):
+    if y.shape != (n,):
+        raise ShapeError(f"{n} samples but labels of shape {y.shape}")
+    if y.min() < 0 or y.max() >= n_classes:
         raise LabelError(f"labels must lie in [0, {n_classes}), got range "
                          f"[{y.min()}, {y.max()}]")
     return y
 
 
-def nll_loss(trace: ForwardTrace, y: int) -> float:
-    """Negative log-likelihood of class y, computed as logsumexp - logit."""
-    logits = trace.logits
-    if not 0 <= int(y) < logits.shape[0]:
-        raise LabelError(f"label {y} out of range for {logits.shape[0]} classes")
-    m = logits.max()
-    lse = m + np.log(np.exp(logits - m).sum())
-    return float(lse - logits[int(y)])
-
-
-def _nll_batch(zs_last: np.ndarray, y: np.ndarray) -> np.ndarray:
-    m = zs_last.max(axis=1)
-    lse = m + np.log(np.exp(zs_last - m[:, None]).sum(axis=1))
-    return lse - zs_last[np.arange(zs_last.shape[0]), y]
-
-
 def mean_nll(model: MlpModel, X: np.ndarray, y: np.ndarray) -> float:
     """Mean cross-entropy loss over a batch."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = _check_labels(y, model.spec.n_classes)
-    if X.shape[0] == 0:
-        raise ArgumentError("batch is empty")
-    _, zs, _ = _forward_batch(model, X)
-    return float(_nll_batch(zs[-1], y).mean())
+    return float(forward(model, X).nll(y).mean())
 
 
-def _backprop_deltas(
+def _backprop(
     model: MlpModel, X: np.ndarray, y: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Per-sample backprop state.
+) -> tuple[ForwardTrace, list[np.ndarray]]:
+    """One forward pass plus per-sample backprop state.
 
-    Returns (activations, deltas, probs) where deltas[l][k] is the gradient
-    of sample k's NLL with respect to layer l's pre-activation. No batch
+    Returns (trace, deltas) where deltas[l][k] is the gradient of
+    sample k's NLL with respect to layer l's pre-activation. No batch
     averaging is applied here; callers reduce as they need.
     """
-    acts, zs, probs = _forward_batch(model, X)
-    n = X.shape[0]
+    trace = forward(model, X)
+    y = _check_labels(y, model.spec.n_classes, trace.probs.shape[0])
     L = model.spec.n_layers
-    delta = probs.copy()
-    delta[np.arange(n), y] -= 1.0
+    delta = trace.probs.copy()
+    delta[np.arange(y.shape[0]), y] -= 1.0
     deltas: list[np.ndarray] = [np.empty(0)] * L
     deltas[L - 1] = delta
     for layer in range(L - 2, -1, -1):
         upstream = deltas[layer + 1] @ model.weight(layer + 1)
-        deltas[layer] = upstream * _activate_grad(zs[layer], model.spec.activation)
-    return acts, deltas, probs
+        deltas[layer] = upstream * _activate_grad(
+            trace.pre_activations[layer], model.spec.activation
+        )
+    return trace, deltas
+
+
+def _batch_mean(
+    model: MlpModel, deltas: list[np.ndarray], acts: list[np.ndarray]
+) -> np.ndarray:
+    """Flat batch mean of delta x activation per weight and of delta per bias."""
+    n = acts[0].shape[0]
+    out = np.zeros_like(model.params)
+    for layer in range(model.spec.n_layers):
+        lo, hi = model.layout.weight_slices[layer]
+        out[lo:hi] = (deltas[layer].T @ acts[layer]).ravel() / n
+        lo, hi = model.layout.bias_slices[layer]
+        out[lo:hi] = deltas[layer].sum(axis=0) / n
+    return out
 
 
 def grad_params(model: MlpModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of the mean NLL over the batch, flat, same layout as params."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[0] == 0:
-        raise ArgumentError("batch is empty")
-    y = _check_labels(y, model.spec.n_classes)
-    if y.shape[0] != X.shape[0]:
-        raise ShapeError(f"{X.shape[0]} samples but {y.shape[0]} labels")
-    acts, deltas, _ = _backprop_deltas(model, X, y)
-    n = X.shape[0]
-    grad = np.zeros_like(model.params)
-    for layer in range(model.spec.n_layers):
-        lo, hi = model.layout.weight_slices[layer]
-        grad[lo:hi] = (deltas[layer].T @ acts[layer]).ravel() / n
-        lo, hi = model.layout.bias_slices[layer]
-        grad[lo:hi] = deltas[layer].sum(axis=0) / n
-    return grad
+    trace, deltas = _backprop(model, X, y)
+    return _batch_mean(model, deltas, trace.activations)
 
 
-def grad_input(model: MlpModel, x: np.ndarray, y: int) -> np.ndarray:
-    """Gradient of log p(y | x) with respect to x (log-likelihood, not loss)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError(f"expected a 1-D feature vector, got shape {x.shape}")
-    return input_scores(model, x[None, :], np.asarray([y]))[0]
+def loss_and_grad(
+    model: MlpModel, X: np.ndarray, y: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Mean NLL over the batch and its gradient, from one forward pass."""
+    trace, deltas = _backprop(model, X, y)
+    return float(trace.nll(y).mean()), _batch_mean(model, deltas, trace.activations)
 
 
 def input_scores(model: MlpModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-sample gradients of log p(y_k | x_k) w.r.t. x_k, stacked (n, d)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = _check_labels(y, model.spec.n_classes)
-    _, deltas, _ = _backprop_deltas(model, X, y)
+    _, deltas = _backprop(model, X, y)
     return -(deltas[0] @ model.weight(0))
 
 
@@ -305,45 +285,27 @@ def per_sample_grad_norms(model: MlpModel, X: np.ndarray, y: np.ndarray) -> np.n
     come out of the batched backprop without materializing per-sample
     gradient vectors.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = _check_labels(y, model.spec.n_classes)
-    acts, deltas, _ = _backprop_deltas(model, X, y)
-    sq = np.zeros(X.shape[0])
+    trace, deltas = _backprop(model, X, y)
+    sq = np.zeros(trace.probs.shape[0])
     for layer in range(model.spec.n_layers):
+        acts = trace.activations[layer]
         d2 = np.einsum("ij,ij->i", deltas[layer], deltas[layer])
-        a2 = np.einsum("ij,ij->i", acts[layer], acts[layer])
+        a2 = np.einsum("ij,ij->i", acts, acts)
         sq += d2 * (a2 + 1.0)
     return np.sqrt(sq)
 
 
 def fisher_diagonal(model: MlpModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mean squared per-sample NLL gradient, per coordinate (diagonal FIM)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[0] == 0:
-        raise ArgumentError("batch is empty")
-    y = _check_labels(y, model.spec.n_classes)
-    acts, deltas, _ = _backprop_deltas(model, X, y)
-    n = X.shape[0]
-    fim = np.zeros_like(model.params)
-    for layer in range(model.spec.n_layers):
-        d2 = deltas[layer] ** 2
-        lo, hi = model.layout.weight_slices[layer]
-        fim[lo:hi] = (d2.T @ (acts[layer] ** 2)).ravel() / n
-        lo, hi = model.layout.bias_slices[layer]
-        fim[lo:hi] = d2.sum(axis=0) / n
-    return fim
+    trace, deltas = _backprop(model, X, y)
+    return _batch_mean(
+        model, [d ** 2 for d in deltas], [a ** 2 for a in trace.activations]
+    )
 
 
 def predict_probs(model: MlpModel, X: np.ndarray) -> np.ndarray:
     """Class probabilities for an (n, d) batch."""
-    _, _, probs = _forward_batch(model, np.atleast_2d(np.asarray(X, dtype=np.float64)))
-    return probs
-
-
-def hidden_activations(model: MlpModel, X: np.ndarray) -> list[np.ndarray]:
-    """Post-nonlinearity hidden-layer outputs for an (n, d) batch, per layer."""
-    acts, _, _ = _forward_batch(model, np.atleast_2d(np.asarray(X, dtype=np.float64)))
-    return acts[1:]
+    return forward(model, X).probs
 
 
 # overflow in a diverging run surfaces as non-finite parameters, which
@@ -374,10 +336,8 @@ def train(
     if batch_size < 1:
         raise ConfigurationError(f"batch size must be >= 1, got {batch_size}")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = _check_labels(y, model.spec.n_classes)
+    y = _check_labels(y, model.spec.n_classes, X.shape[0])
     n = X.shape[0]
-    if n == 0:
-        raise ArgumentError("training split is empty")
     rng = np.random.default_rng(seed)
     current = model.copy()
     for epoch in range(epochs):

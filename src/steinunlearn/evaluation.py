@@ -3,7 +3,8 @@
 Accuracy/loss per split, layer-wise and activation-wise model distances,
 a confidence-threshold membership-inference attack, and the final verdict
 that combines a full prediction flip on the targets with bounded test-set
-degradation.
+degradation. The verdict runs one forward pass per (model, split) and reads
+every measurement from those passes.
 """
 
 from __future__ import annotations
@@ -61,32 +62,14 @@ class UnlearnReport:
                     raise NumericalError(f"non-finite {name}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "forget_acc": self.forget_acc,
-            "retain_acc": self.retain_acc,
-            "test_acc": self.test_acc,
-            "forget_loss": self.forget_loss,
-            "retain_loss": self.retain_loss,
-            "test_loss": self.test_loss,
-            "layer_distances": self.layer_distances,
-            "total_param_distance": self.total_param_distance,
-            "activation_distance": self.activation_distance,
-            "mia_efficacy": self.mia_efficacy,
-            "steps_taken": self.steps_taken,
-            "success": self.success,
-            "epsilon": self.epsilon,
-            "test_acc_original": self.test_acc_original,
-        }
+        return dict(vars(self))
 
 
-def accuracy(model: diffnet.MlpModel, X: np.ndarray, y: np.ndarray) -> float:
+def accuracy(probs: np.ndarray, y: np.ndarray) -> float:
     """Fraction of argmax-correct predictions; argmax ties go to the lowest class."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[0] == 0:
+    if probs.shape[0] == 0:
         raise ArgumentError("split is empty")
-    y = np.asarray(y, dtype=np.int64)
-    preds = diffnet.predict_probs(model, X).argmax(axis=1)
-    return float((preds == y).mean())
+    return float((probs.argmax(axis=1) == np.asarray(y, dtype=np.int64)).mean())
 
 
 def layerwise_distance(a: diffnet.MlpModel, b: diffnet.MlpModel) -> LayerwiseDistance:
@@ -105,53 +88,44 @@ def layerwise_distance(a: diffnet.MlpModel, b: diffnet.MlpModel) -> LayerwiseDis
 
 
 def activation_distance(
-    a: diffnet.MlpModel, b: diffnet.MlpModel, probe: np.ndarray
+    hidden_a: list[np.ndarray], hidden_b: list[np.ndarray]
 ) -> float:
-    """Mean L2 gap between hidden activations of the two models on probe inputs."""
-    if a.spec != b.spec:
-        raise ComparisonError(f"cannot compare specs {a.spec} and {b.spec}")
-    probe = np.atleast_2d(np.asarray(probe, dtype=np.float64))
-    if probe.shape[0] == 0:
-        raise ArgumentError("probe is empty")
-    hidden_a = diffnet.hidden_activations(a, probe)
-    hidden_b = diffnet.hidden_activations(b, probe)
+    """Mean L2 gap between two models' hidden activations on the same probe inputs."""
+    if [h.shape for h in hidden_a] != [h.shape for h in hidden_b]:
+        raise ComparisonError("hidden activations differ in shape")
     if not hidden_a:
         return 0.0
+    if hidden_a[0].shape[0] == 0:
+        raise ArgumentError("probe is empty")
     gaps = [np.linalg.norm(ha - hb, axis=1) for ha, hb in zip(hidden_a, hidden_b)]
     return float(np.mean(np.concatenate(gaps)))
 
 
-def _confidences(model: diffnet.MlpModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    probs = diffnet.predict_probs(model, np.atleast_2d(X))
-    return probs[np.arange(probs.shape[0]), np.asarray(y, dtype=np.int64)]
+def _confidences(trace: diffnet.ForwardTrace, y: np.ndarray) -> np.ndarray:
+    """Each sample's predicted probability of its true label."""
+    return trace.probs[np.arange(trace.probs.shape[0]), np.asarray(y, dtype=np.int64)]
 
 
 def mia_efficacy(
-    unlearned: diffnet.MlpModel,
-    forget: tuple[np.ndarray, np.ndarray],
-    member_cal: tuple[np.ndarray, np.ndarray],
-    nonmember_cal: tuple[np.ndarray, np.ndarray],
-    calibration_model: diffnet.MlpModel | None = None,
+    forget_conf: np.ndarray, member_conf: np.ndarray, nonmember_conf: np.ndarray
 ) -> float:
     """Fraction of forget samples a confidence-threshold attack calls non-member.
 
     The attack rule is "member iff confidence at the true label >= tau";
     tau is chosen to maximize balanced accuracy separating the member
-    calibration split from the non-member one, searching over the observed
-    calibration confidences, with ties resolved toward the smaller tau.
-    By default the unlearned model produces the calibration confidences.
+    calibration confidences from the non-member ones, searching over the
+    observed calibration confidences, with ties resolved toward the smaller
+    tau.
     """
-    if member_cal[0].shape[0] == 0 or nonmember_cal[0].shape[0] == 0:
+    if member_conf.size == 0 or nonmember_conf.size == 0:
         raise ArgumentError("calibration splits must be nonempty")
-    cal_model = calibration_model if calibration_model is not None else unlearned
-    member_conf = np.sort(_confidences(cal_model, *member_cal))
-    nonmember_conf = np.sort(_confidences(cal_model, *nonmember_cal))
+    member_conf = np.sort(member_conf)
+    nonmember_conf = np.sort(nonmember_conf)
     candidates = np.unique(np.concatenate([member_conf, nonmember_conf]))
     tpr = 1.0 - np.searchsorted(member_conf, candidates, side="left") / member_conf.size
     tnr = np.searchsorted(nonmember_conf, candidates, side="left") / nonmember_conf.size
     balanced = (tpr + tnr) / 2.0
     tau = float(candidates[int(np.argmax(balanced))])
-    forget_conf = _confidences(unlearned, *forget)
     return float((forget_conf < tau).mean())
 
 
@@ -175,28 +149,36 @@ def verdict(
     model = outcome.unlearned
     if original.spec != model.spec:
         raise ComparisonError("original and unlearned models differ in architecture")
-    forget_acc = accuracy(model, *forget)
-    retain_acc = accuracy(model, *retain)
-    test_acc = accuracy(model, *test)
-    test_acc_original = accuracy(original, *test)
+    f_out = diffnet.forward(model, forget[0])
+    r_out = diffnet.forward(model, retain[0])
+    t_out = diffnet.forward(model, test[0])
+    t_orig = diffnet.forward(original, test[0])
+    # the MIA threshold is calibrated on the unlearned model unless asked otherwise
+    if calibrate_on_original:
+        member_cal, nonmember_cal = diffnet.forward(original, retain[0]), t_orig
+    else:
+        member_cal, nonmember_cal = r_out, t_out
+    forget_acc = accuracy(f_out.probs, forget[1])
+    test_acc = accuracy(t_out.probs, test[1])
+    test_acc_original = accuracy(t_orig.probs, test[1])
     distances = layerwise_distance(original, model)
-    report = UnlearnReport(
+    return UnlearnReport(
         forget_acc=forget_acc,
-        retain_acc=retain_acc,
+        retain_acc=accuracy(r_out.probs, retain[1]),
         test_acc=test_acc,
-        forget_loss=diffnet.mean_nll(model, *forget),
-        retain_loss=diffnet.mean_nll(model, *retain),
-        test_loss=diffnet.mean_nll(model, *test),
+        forget_loss=float(f_out.nll(forget[1]).mean()),
+        retain_loss=float(r_out.nll(retain[1]).mean()),
+        test_loss=float(t_out.nll(test[1]).mean()),
         layer_distances=[float(v) for v in distances.per_layer],
         total_param_distance=distances.total,
-        activation_distance=activation_distance(original, model, test[0]),
+        activation_distance=activation_distance(t_orig.hidden, t_out.hidden),
         mia_efficacy=mia_efficacy(
-            model, forget, member_cal=retain, nonmember_cal=test,
-            calibration_model=original if calibrate_on_original else None,
+            _confidences(f_out, forget[1]),
+            member_conf=_confidences(member_cal, retain[1]),
+            nonmember_conf=_confidences(nonmember_cal, test[1]),
         ),
         steps_taken=outcome.steps_taken,
         success=(forget_acc == 0.0) and (test_acc_original - test_acc <= epsilon),
         epsilon=epsilon,
         test_acc_original=test_acc_original,
     )
-    return report

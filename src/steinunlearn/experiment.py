@@ -18,7 +18,9 @@ import numpy as np
 from . import diffnet, scoring, stein, unlearn
 from .config import ExperimentConfig
 from .data import LabeledDataset, SplitPlan, gather, split
-from .errors import SteinUnlearnError
+from .errors import (
+    ConfigurationError, DataError, NumericalError, SteinUnlearnError,
+)
 from .evaluation import REPORT_COLUMNS, UnlearnReport, accuracy, verdict
 
 EASY = "easy"
@@ -100,10 +102,11 @@ def train_base(config: ExperimentConfig, seed: int) -> TrainedBase:
     log: list[dict] = []
 
     def record(epoch: int, snapshot: diffnet.MlpModel) -> None:
+        trace = diffnet.forward(snapshot, train_X)
         log.append({
             "epoch": epoch,
-            "train_loss": diffnet.mean_nll(snapshot, train_X, train_y),
-            "train_acc": accuracy(snapshot, train_X, train_y),
+            "train_loss": float(trace.nll(train_y).mean()),
+            "train_acc": accuracy(trace.probs, train_y),
         })
 
     tr = config.training
@@ -314,8 +317,22 @@ def write_model_json(model: diffnet.MlpModel, path: str | Path) -> None:
 
 
 def read_model_json(path: str | Path) -> diffnet.MlpModel:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    spec = diffnet.NetworkSpec(tuple(obj["layer_sizes"]), obj["activation"])
-    return diffnet.MlpModel(
-        spec, np.asarray(obj["params"], dtype=np.float64), diffnet.build_layout(spec)
-    )
+    """Load a model written by write_model_json; DataError names what is wrong."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DataError(f"{path}: not a model file: {exc}") from exc
+    for key in ("layer_sizes", "activation", "params"):
+        if not isinstance(obj, dict) or key not in obj:
+            raise DataError(f"{path}: not a model file: no {key!r} field")
+    try:
+        spec = diffnet.NetworkSpec(tuple(obj["layer_sizes"]), obj["activation"])
+    except ConfigurationError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: layer_sizes: expected a list of integers") from exc
+    try:
+        params = np.asarray(obj["params"], dtype=np.float64)
+        return diffnet.MlpModel(spec, params, diffnet.build_layout(spec))
+    except (TypeError, ValueError, NumericalError) as exc:
+        raise DataError(f"{path}: params: {exc}") from exc

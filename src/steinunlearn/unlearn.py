@@ -89,7 +89,7 @@ def grad_ascent(
     # overflow inside a diverging run is handled explicitly below
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.epochs):
-            loss = diffnet.mean_nll(current, X, y)
+            loss, g = diffnet.loss_and_grad(current, X, y)
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"gradient ascent diverged to a non-finite loss; "
@@ -97,7 +97,6 @@ def grad_ascent(
                 )
             if loss >= cfg.overfit_threshold:
                 break
-            g = diffnet.grad_params(current, X, y)
             try:
                 current = current.with_params(current.params + cfg.lr * g)
             except NumericalError as exc:

@@ -41,8 +41,8 @@ def fd_grad_input(model, x, y, h=1e-5):
     """Central-difference gradient of log p(y | x) w.r.t. the input."""
 
     def loglik(xv):
-        trace = diffnet.forward(model, xv)
-        return -diffnet.nll_loss(trace, y)
+        trace = diffnet.forward(model, xv[None])
+        return -trace.nll([y])[0]
 
     grad = np.empty_like(x)
     for i in range(x.shape[0]):

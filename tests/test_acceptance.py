@@ -156,7 +156,7 @@ def test_criterion_03_gradient_oracles():
         g_p = diffnet.grad_params(model, x[None, :], np.array([y]))
         assert rel_close(g_p, fd_grad_params(model, x[None, :], np.array([y])),
                          1e-4, floor=1e-3), f"grad_params instance {trial}"
-        g_x = diffnet.grad_input(model, x, y)
+        g_x = diffnet.input_scores(model, x[None], [y])[0]
         assert rel_close(g_x, fd_grad_input(model, x, y), 1e-4, floor=1e-3), \
             f"grad_input instance {trial}"
         checked += 1

@@ -1,10 +1,15 @@
 """Config validation, canonicalization, CLI subcommands, pipeline behavior."""
 
 import json
+import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinunlearn import cli, diffnet, experiment
 from steinunlearn.config import ExperimentConfig, dump_config, load_config
@@ -331,3 +336,83 @@ class TestRankAndUnlearnCommands:
         assert model_files
         reloaded = experiment.read_model_json(model_files[0])
         assert reloaded.spec.layer_sizes == (2, 8, 3)
+
+
+_MODEL_SPEC = {"layer_sizes": [2, 8, 3], "activation": "relu"}
+
+# Each case: the text of a file passed as a model, and what the error must say.
+BAD_MODEL_FILES = [
+    pytest.param("not json", r"not a model file", id="not-json"),
+    pytest.param(json.dumps(_MINI), r"not a model file: no 'layer_sizes' field",
+                 id="config-file"),
+    pytest.param(json.dumps({**_MODEL_SPEC, "params": ["a"] * 51}),
+                 r"params: could not convert", id="string-params"),
+    pytest.param(json.dumps({**_MODEL_SPEC, "layer_sizes": ["a", 3], "params": []}),
+                 r"layer_sizes: expected a list of integers", id="string-layer-size"),
+]
+
+
+class TestBadCommandInput:
+    @pytest.mark.parametrize("targets", ["a", "", "1,,2"])
+    def test_bad_targets_exit_1(self, tmp_path, capsys, targets):
+        cfg_path = write_config(tmp_path, output_dir=str(tmp_path / "out"))
+        code = cli.main(["evaluate", "--config", str(cfg_path), "--original", "m.json",
+                         "--unlearned", "m.json", "--targets", targets])
+        assert code == 1
+        assert (f"--targets: expected comma-separated sample ids, got {targets!r}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flag", ["--model", "--original", "--unlearned"])
+    @pytest.mark.parametrize("text, match", BAD_MODEL_FILES)
+    def test_bad_model_file_exits_1(self, tmp_path, capsys, text, match, flag):
+        cfg_path = write_config(tmp_path, output_dir=str(tmp_path / "out"))
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        experiment.write_model_json(
+            diffnet.init_network(diffnet.NetworkSpec((2, 8, 3)), 0), good
+        )
+        bad.write_text(text)
+        if flag == "--model":
+            argv = ["score", "--config", str(cfg_path), "--model", str(bad)]
+        else:
+            models = {"--original": str(good), "--unlearned": str(good), flag: str(bad)}
+            argv = ["evaluate", "--config", str(cfg_path), "--targets", "0",
+                    *(arg for pair in models.items() for arg in pair)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and re.search(match, err), err
+
+
+class TestFiniteOrFailed:
+    @given(ga_lr=st.floats(1e-3, 1e6), ft_lr=st.floats(1e-3, 1e3),
+           alpha=st.floats(0.0, 1e300))
+    @settings(max_examples=10, deadline=None)
+    def test_every_row_is_finite_and_ok_or_failed(self, ga_lr, ft_lr, alpha):
+        raw = mini_config_dict(
+            dataset={**_MINI["dataset"], "n_per_class": 8},
+            training={"lr": 0.05, "epochs": 5, "batch_size": 8},
+            metrics=["MKSD"],
+            methods=[
+                {"method": "grad_ascent", "lr": ga_lr, "epochs": 20,
+                 "overfit_threshold": 1e9},
+                {"method": "fine_tune", "lr": ft_lr, "epochs": 2, "batch_size": 8},
+                {"method": "fisher", "alpha": alpha},
+            ],
+            top_k_each_end=1,
+            expansion_ks=[0, 1],
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            cfg_path = Path(tmp) / "cfg.json"
+            cfg_path.write_text(json.dumps({**raw, "output_dir": str(out)}))
+            code = cli.main(["experiment", "--config", str(cfg_path)])
+            rows = [json.loads(line)
+                    for line in (out / "reports.jsonl").read_text().splitlines()]
+        assert len(rows) == 12
+        for row in rows:
+            if row["status"] == "ok":
+                values = [v for v in row["report"].values() if not isinstance(v, list)]
+                values += row["report"]["layer_distances"]
+                assert all(math.isfinite(v) for v in values), row
+            else:
+                assert row["status"].startswith("error: "), row
+        assert code == (0 if all(r["status"] == "ok" for r in rows) else 2)

@@ -63,7 +63,7 @@ class TestForward:
         spec = diffnet.NetworkSpec((2, 4, 3))
         layout = diffnet.build_layout(spec)
         model = diffnet.MlpModel(spec, np.zeros(layout.n_params), layout)
-        trace = diffnet.forward(model, np.array([3.0, -1.0]))
+        trace = diffnet.forward(model, np.array([3.0, -1.0])[None])
         assert np.allclose(trace.probs, 1.0 / 3.0)
 
     def test_stable_softmax_no_overflow(self):
@@ -72,24 +72,24 @@ class TestForward:
         layout = diffnet.build_layout(spec)
         params = np.array([1000.0, 0.0, 0.0, 0.0])  # W=[[1000],[0]], b=0
         model = diffnet.MlpModel(spec, params, layout)
-        trace = diffnet.forward(model, np.array([1.0]))
-        assert np.all(np.isfinite(trace.probs))
-        assert trace.probs[0] == pytest.approx(1.0)
-        assert trace.probs[1] == pytest.approx(0.0, abs=1e-300)
+        probs = diffnet.forward(model, np.array([1.0])[None]).probs[0]
+        assert np.all(np.isfinite(probs))
+        assert probs[0] == pytest.approx(1.0)
+        assert probs[1] == pytest.approx(0.0, abs=1e-300)
 
     def test_dimension_mismatch(self, rng):
         model = random_model(rng, (2, 4, 3))
         with pytest.raises(ShapeError):
-            diffnet.forward(model, np.array([1.0, 2.0, 3.0]))
+            diffnet.forward(model, np.array([1.0, 2.0, 3.0])[None])
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_probs_sum_to_one_and_positive(self, seed):
         rng = np.random.default_rng(seed)
         model = random_model(rng, (3, 5, 4), activation="relu")
-        trace = diffnet.forward(model, rng.normal(size=3))
-        assert abs(trace.probs.sum() - 1.0) <= 1e-9
-        assert np.all(trace.probs > 0.0)
+        probs = diffnet.forward(model, rng.normal(size=3)[None]).probs[0]
+        assert abs(probs.sum() - 1.0) <= 1e-9
+        assert np.all(probs > 0.0)
 
 
 class TestNllLoss:
@@ -97,31 +97,31 @@ class TestNllLoss:
         spec = diffnet.NetworkSpec((2, 4))
         layout = diffnet.build_layout(spec)
         model = diffnet.MlpModel(spec, np.zeros(layout.n_params), layout)
-        trace = diffnet.forward(model, np.array([1.0, 2.0]))
-        assert diffnet.nll_loss(trace, 2) == pytest.approx(np.log(4.0), rel=1e-12)
+        trace = diffnet.forward(model, np.array([1.0, 2.0])[None])
+        assert trace.nll([2])[0] == pytest.approx(np.log(4.0), rel=1e-12)
 
     def test_confident_prediction_near_zero(self):
         spec = diffnet.NetworkSpec((1, 2))
         layout = diffnet.build_layout(spec)
         model = diffnet.MlpModel(spec, np.array([50.0, -50.0, 0.0, 0.0]), layout)
-        trace = diffnet.forward(model, np.array([1.0]))
-        assert diffnet.nll_loss(trace, 0) < 1e-20
+        trace = diffnet.forward(model, np.array([1.0])[None])
+        assert trace.nll([0])[0] < 1e-20
 
     def test_two_class_scalar_value(self):
         # logits (2, 0), y=0 -> log(1 + e^-2)
         spec = diffnet.NetworkSpec((1, 2))
         layout = diffnet.build_layout(spec)
         model = diffnet.MlpModel(spec, np.array([2.0, 0.0, 0.0, 0.0]), layout)
-        trace = diffnet.forward(model, np.array([1.0]))
-        assert diffnet.nll_loss(trace, 0) == pytest.approx(
+        trace = diffnet.forward(model, np.array([1.0])[None])
+        assert trace.nll([0])[0] == pytest.approx(
             0.12692801104297249, rel=1e-12
         )
 
     def test_label_out_of_range(self, rng):
         model = random_model(rng, (2, 3))
-        trace = diffnet.forward(model, np.array([0.1, 0.2]))
+        trace = diffnet.forward(model, np.array([0.1, 0.2])[None])
         with pytest.raises(LabelError):
-            diffnet.nll_loss(trace, 3)
+            trace.nll([3])
 
 
 class TestGradParams:
@@ -169,7 +169,7 @@ class TestGradInput:
             model = random_model(rng, sizes, activation="tanh")
             x = rng.uniform(-1, 1, sizes[0])
             y = int(rng.integers(sizes[-1]))
-            g = diffnet.grad_input(model, x, y)
+            g = diffnet.input_scores(model, x[None], [y])[0]
             fd = fd_grad_input(model, x, y)
             assert rel_close(g, fd, 1e-4, floor=1e-3), f"trial {trial}"
 
@@ -181,17 +181,18 @@ class TestGradInput:
         model = diffnet.MlpModel(spec, params, layout)
         x = rng.normal(size=3)
         y = 2
-        trace = diffnet.forward(model, x)
+        trace = diffnet.forward(model, x[None])
         e_y = np.zeros(4)
         e_y[y] = 1.0
-        expected = (e_y - trace.probs) @ model.weight(0)
-        assert np.allclose(diffnet.grad_input(model, x, y), expected, rtol=1e-12)
+        expected = (e_y - trace.probs[0]) @ model.weight(0)
+        assert np.allclose(diffnet.input_scores(model, x[None], [y])[0], expected,
+                           rtol=1e-12)
 
     def test_zero_at_certainty(self):
         spec = diffnet.NetworkSpec((1, 2))
         layout = diffnet.build_layout(spec)
         model = diffnet.MlpModel(spec, np.array([800.0, 0.0, 0.0, 0.0]), layout)
-        assert np.all(diffnet.grad_input(model, np.array([1.0]), 0) == 0.0)
+        assert np.all(diffnet.input_scores(model, np.array([[1.0]]), [0])[0] == 0.0)
 
 
 class TestTrain:

@@ -24,7 +24,7 @@ class TestAccuracy:
         model = diffnet.MlpModel(spec, np.array([-5.0, 5.0, 0.0, 0.0]), layout)
         X = np.array([[-1.0], [1.0], [2.0], [-3.0]])
         y = np.array([0, 1, 1, 0])
-        assert evaluation.accuracy(model, X, y) == 1.0
+        assert evaluation.accuracy(diffnet.predict_probs(model, X), y) == 1.0
 
     def test_one_in_five(self):
         spec = diffnet.NetworkSpec((1, 2))
@@ -32,19 +32,21 @@ class TestAccuracy:
         model = diffnet.MlpModel(spec, np.array([5.0, -5.0, 0.0, 0.0]), layout)
         X = np.ones((5, 1))
         y = np.array([0, 1, 1, 1, 1])  # model always predicts 0
-        assert evaluation.accuracy(model, X, y) == pytest.approx(0.2)
+        probs = diffnet.predict_probs(model, X)
+        assert evaluation.accuracy(probs, y) == pytest.approx(0.2)
 
     def test_constant_logits_balanced_split(self):
         model = _zero_model((2, 4, 3))  # argmax ties -> always class 0
         X = np.random.default_rng(0).normal(size=(300, 2))
         y = np.tile(np.array([0, 1, 2]), 100)
-        assert evaluation.accuracy(model, X, y) == pytest.approx(1.0 / 3)
+        probs = diffnet.predict_probs(model, X)
+        assert evaluation.accuracy(probs, y) == pytest.approx(1.0 / 3)
 
     def test_error_fraction_complement(self, rng):
         model = random_model(rng, (2, 4, 3))
         X = rng.normal(size=(50, 2))
         y = rng.integers(0, 3, 50)
-        acc = evaluation.accuracy(model, X, y)
+        acc = evaluation.accuracy(diffnet.predict_probs(model, X), y)
         preds = diffnet.predict_probs(model, X).argmax(axis=1)
         err = float((preds != y).mean())
         assert acc + err == 1.0
@@ -52,7 +54,8 @@ class TestAccuracy:
     def test_empty_split_rejected(self, rng):
         model = random_model(rng, (2, 3))
         with pytest.raises(ArgumentError):
-            evaluation.accuracy(model, np.empty((0, 2)), np.empty(0, dtype=int))
+            evaluation.accuracy(diffnet.predict_probs(model, np.empty((0, 2))),
+                                np.empty(0, dtype=int))
 
 
 class TestLayerwiseDistance:
@@ -99,17 +102,23 @@ class TestLayerwiseDistance:
         assert evaluation.layerwise_distance(a, c).total > 0.0
 
 
+def _activation_distance(a, b, probe):
+    return evaluation.activation_distance(
+        diffnet.forward(a, probe).hidden, diffnet.forward(b, probe).hidden
+    )
+
+
 class TestActivationDistance:
     def test_identical_models_zero(self, rng):
         model = random_model(rng, (2, 4, 3))
         probe = rng.normal(size=(10, 2))
-        assert evaluation.activation_distance(model, model.copy(), probe) == 0.0
+        assert _activation_distance(model, model.copy(), probe) == 0.0
 
     def test_nonnegative_finite(self, rng):
         a = random_model(rng, (2, 4, 3))
         b = random_model(rng, (2, 4, 3))
         probe = rng.normal(size=(10, 2))
-        d = evaluation.activation_distance(a, b, probe)
+        d = _activation_distance(a, b, probe)
         assert np.isfinite(d) and d >= 0.0
 
     def test_final_layer_change_invisible(self, rng):
@@ -120,7 +129,15 @@ class TestActivationDistance:
         new_params[lo:hi] *= 2.0
         changed = model.with_params(new_params)
         probe = rng.normal(size=(8, 2))
-        assert evaluation.activation_distance(model, changed, probe) == 0.0
+        assert _activation_distance(model, changed, probe) == 0.0
+
+
+def _mia_efficacy(model, forget, member_cal, nonmember_cal):
+    def conf(X, y):
+        return diffnet.predict_probs(model, X)[np.arange(y.shape[0]), y]
+
+    return evaluation.mia_efficacy(conf(*forget), conf(*member_cal),
+                                   conf(*nonmember_cal))
 
 
 def _linear_conf_model(weight):
@@ -137,14 +154,14 @@ class TestMiaEfficacy:
         members = (np.full((10, 1), 5.0), np.zeros(10, dtype=int))
         nonmembers = (np.full((10, 1), -5.0), np.zeros(10, dtype=int))
         forget = (np.full((4, 1), -5.0), np.zeros(4, dtype=int))
-        assert evaluation.mia_efficacy(model, forget, members, nonmembers) == 1.0
+        assert _mia_efficacy(model, forget, members, nonmembers) == 1.0
 
     def test_forget_above_every_calibration_value(self):
         model = _linear_conf_model(5.0)
         members = (np.full((10, 1), 1.0), np.zeros(10, dtype=int))
         nonmembers = (np.full((10, 1), -1.0), np.zeros(10, dtype=int))
         forget = (np.full((4, 1), 3.0), np.zeros(4, dtype=int))
-        assert evaluation.mia_efficacy(model, forget, members, nonmembers) == 0.0
+        assert _mia_efficacy(model, forget, members, nonmembers) == 0.0
 
     def test_duplication_invariance(self, rng):
         model = _linear_conf_model(2.0)
@@ -153,8 +170,8 @@ class TestMiaEfficacy:
         fx = rng.normal(size=(6, 1))
         my, ny, fy = (np.zeros(20, dtype=int), np.zeros(20, dtype=int),
                       np.zeros(6, dtype=int))
-        base = evaluation.mia_efficacy(model, (fx, fy), (mx, my), (nx, ny))
-        doubled = evaluation.mia_efficacy(
+        base = _mia_efficacy(model, (fx, fy), (mx, my), (nx, ny))
+        doubled = _mia_efficacy(
             model, (fx, fy),
             (np.vstack([mx, mx]), np.concatenate([my, my])),
             (np.vstack([nx, nx]), np.concatenate([ny, ny])),
@@ -164,7 +181,7 @@ class TestMiaEfficacy:
     def test_in_unit_interval(self, rng):
         model = _linear_conf_model(1.0)
         mk = lambda n, mu: (rng.normal(size=(n, 1)) + mu, np.zeros(n, dtype=int))
-        e = evaluation.mia_efficacy(model, mk(7, 0.0), mk(15, 1.0), mk(15, -1.0))
+        e = _mia_efficacy(model, mk(7, 0.0), mk(15, 1.0), mk(15, -1.0))
         assert 0.0 <= e <= 1.0
 
     def test_empty_calibration_rejected(self):
@@ -172,7 +189,7 @@ class TestMiaEfficacy:
         ok = (np.ones((3, 1)), np.zeros(3, dtype=int))
         empty = (np.empty((0, 1)), np.empty(0, dtype=int))
         with pytest.raises(ArgumentError):
-            evaluation.mia_efficacy(model, ok, empty, ok)
+            _mia_efficacy(model, ok, empty, ok)
 
 
 class TestVerdict:
