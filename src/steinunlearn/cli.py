@@ -60,10 +60,10 @@ def _out_dir(config: ExperimentConfig) -> Path:
 def cmd_train(config: ExperimentConfig) -> int:
     out = _out_dir(config)
     for seed in config.seeds:
-        base = exp.train_base(config, seed)
-        exp.write_model_json(base.model, out / f"model-s{seed}.json")
-        exp.write_train_log_csv(base.train_log, out / f"trainlog-s{seed}.csv")
-        final = base.train_log[-1] if base.train_log else {"train_acc": float("nan")}
+        _, _, model, log = exp.train_model(config, seed)
+        exp.write_model_json(model, out / f"model-s{seed}.json")
+        exp.write_train_log_csv(log, out / f"trainlog-s{seed}.csv")
+        final = log[-1] if log else {"train_acc": float("nan")}
         print(f"seed {seed}: trained, final train_acc="
               f"{final['train_acc']:.4f} -> {out / f'model-s{seed}.json'}")
     return EXIT_OK
@@ -143,7 +143,7 @@ def cmd_evaluate(config: ExperimentConfig, original_path: str,
     )
     original = exp.read_model_json(original_path)
     unlearned = exp.read_model_json(unlearned_path)
-    outcome = unlearn.UnlearnOutcome(unlearned, 0, 0.0)
+    outcome = unlearn.UnlearnOutcome(unlearned, 0)
     report = verdict(
         original, outcome,
         forget=gather(ds, plan.forget_ids),

@@ -271,19 +271,17 @@ def loss_and_grad(
     return float(trace.nll(y).mean()), _batch_mean(model, deltas, trace.activations)
 
 
-def input_scores(model: MlpModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-sample gradients of log p(y_k | x_k) w.r.t. x_k, stacked (n, d)."""
-    _, deltas = _backprop(model, X, y)
-    return -(deltas[0] @ model.weight(0))
+def per_sample_scores(
+    model: MlpModel, X: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Input scores, parameter-gradient norms and probs from one backprop.
 
-
-def per_sample_grad_norms(model: MlpModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """L2 norm of each sample's parameter-space NLL gradient.
-
-    For a single sample the weight gradient of a linear layer is the outer
-    product delta x activation, whose Frobenius norm factorizes, so norms
-    come out of the batched backprop without materializing per-sample
-    gradient vectors.
+    Row k of the (n, d) input scores is the gradient of log p(y_k | x_k)
+    w.r.t. x_k. Entry k of the (n,) norms is the L2 norm of sample k's
+    parameter-space NLL gradient: for a single sample the weight gradient
+    of a linear layer is the outer product delta x activation, whose
+    Frobenius norm factorizes, so no per-sample gradient vector is built.
+    The (n, C) probs are the forward pass's softmax.
     """
     trace, deltas = _backprop(model, X, y)
     sq = np.zeros(trace.probs.shape[0])
@@ -292,7 +290,7 @@ def per_sample_grad_norms(model: MlpModel, X: np.ndarray, y: np.ndarray) -> np.n
         d2 = np.einsum("ij,ij->i", deltas[layer], deltas[layer])
         a2 = np.einsum("ij,ij->i", acts, acts)
         sq += d2 * (a2 + 1.0)
-    return np.sqrt(sq)
+    return -(deltas[0] @ model.weight(0)), np.sqrt(sq), trace.probs
 
 
 def fisher_diagonal(model: MlpModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:

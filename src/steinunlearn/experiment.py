@@ -54,8 +54,6 @@ class TrainedBase:
     ds: LabeledDataset
     plan: SplitPlan
     model: diffnet.MlpModel
-    bandwidth: float
-    table: stein.ScoreTable
     kernel: stein.SteinKernelMatrix
     rankings: dict[str, scoring.DifficultyRanking]
     train_log: list[dict]
@@ -92,8 +90,10 @@ class RunRow:
         return values
 
 
-def train_base(config: ExperimentConfig, seed: int) -> TrainedBase:
-    """Build the dataset, train the base model, score and rank every metric."""
+def train_model(
+    config: ExperimentConfig, seed: int
+) -> tuple[LabeledDataset, SplitPlan, diffnet.MlpModel, list[dict]]:
+    """Build the dataset and split, and train the base model with its log."""
     ds = config.dataset.build(seed)
     plan = split(ds, config.test_fraction, seed)
     model = diffnet.init_network(config.network, seed)
@@ -114,7 +114,12 @@ def train_base(config: ExperimentConfig, seed: int) -> TrainedBase:
         model, train_X, train_y, tr.lr, tr.epochs, tr.batch_size, seed,
         on_epoch=record,
     )
-    return score_base(config, seed, ds, plan, model, log)
+    return ds, plan, model, log
+
+
+def train_base(config: ExperimentConfig, seed: int) -> TrainedBase:
+    """Train the base model, then score and rank every metric."""
+    return score_base(config, seed, *train_model(config, seed))
 
 
 def score_base(
@@ -128,8 +133,10 @@ def score_base(
     """Score `model` on the training split of `plan` and rank every metric."""
     train_X, train_y = gather(ds, plan.train_ids)
     bandwidth = stein.median_bandwidth(train_X)
-    table = stein.score_table(model, ds, plan.train_ids)
-    kernel = stein.stein_kernel_matrix(ds, table, bandwidth)
+    table = stein.score_table(model, train_X, train_y, plan.train_ids)
+    kernel = stein.stein_kernel_matrix(
+        train_X, table.input_scores, bandwidth, plan.train_ids
+    )
     rankings = {
         metric: scoring.compute_metric(
             metric, table, kernel, train_y,
@@ -137,9 +144,7 @@ def score_base(
         )
         for metric in config.metrics
     }
-    return TrainedBase(
-        seed, ds, plan, model, bandwidth, table, kernel, rankings, train_log
-    )
+    return TrainedBase(seed, ds, plan, model, kernel, rankings, train_log)
 
 
 def select_targets(

@@ -103,15 +103,16 @@ def ssn(table: ScoreTable) -> np.ndarray:
     return table.param_grad_norms.copy()
 
 
-def entropy(probs_row: np.ndarray) -> float:
-    """Shannon entropy in nats, with 0 * log(0) taken as 0."""
-    p = np.asarray(probs_row, dtype=np.float64)
-    if p.ndim != 1:
-        raise ArgumentError(f"expected a probability vector, got shape {p.shape}")
-    if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-8:
+def entropy(probs: np.ndarray) -> np.ndarray | float:
+    """Shannon entropy in nats of a probability vector or of each row of an
+    (n, C) array, with 0 * log(0) taken as 0."""
+    p = np.asarray(probs, dtype=np.float64)
+    if p.ndim not in (1, 2):
+        raise ArgumentError(f"expected probability vectors, got shape {p.shape}")
+    if np.any(p < 0) or np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-8):
         raise ArgumentError("input is not a probability vector")
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
+    log_p = np.log(p, out=np.zeros_like(p), where=p > 0)
+    return -(p * log_p).sum(axis=-1)
 
 
 def emsksd(
@@ -127,8 +128,7 @@ def emsksd(
         raise ArgumentError(
             f"{msksd_scores.shape[0]} scores for {table.n} table rows"
         )
-    ents = np.array([entropy(row) for row in table.probs])
-    return msksd_scores / np.maximum(ents, entropy_floor)
+    return msksd_scores / np.maximum(entropy(table.probs), entropy_floor)
 
 
 def pc(table: ScoreTable, labels: np.ndarray) -> np.ndarray:

@@ -3,8 +3,8 @@
 An RBF base kernel with median-heuristic bandwidth is lifted to a
 model-parameterized Stein kernel over sample pairs; row/column indices are
 training samples and the score entering the kernel is the input-space
-gradient of the model's log-likelihood. A model-independent pathway takes
-arbitrary score vectors so analytic densities can be checked directly.
+gradient of the model's log-likelihood. The kernel builder takes any score
+rows, so analytic densities can be checked directly.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from . import diffnet
-from .data import LabeledDataset, gather
 from .errors import ArgumentError, ConfigurationError, DataError, ShapeError
 
 
@@ -100,74 +99,30 @@ def median_bandwidth(features: np.ndarray) -> float:
     return h
 
 
-def rbf(a: np.ndarray, b: np.ndarray, h: float) -> float:
-    """exp(-||a - b||^2 / (2 h^2))."""
-    if h <= 0:
-        raise ConfigurationError(f"bandwidth must be positive, got {h}")
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
-    delta = a - b
-    return float(np.exp(-(delta @ delta) / (2.0 * h * h)))
-
-
-def stein_kernel(
-    a: np.ndarray, b: np.ndarray, s_a: np.ndarray, s_b: np.ndarray, h: float
-) -> float:
-    """Closed-form Stein kernel for the RBF base kernel.
-
-    Combines the base-kernel cross-Hessian trace (raw feature similarity),
-    the score inner product, and the two kernel-gradient/score cross terms
-    into one scalar:
-
-        k(a,b) * [ s_a.s_b + (s_a - s_b).(a - b)/h^2 + d/h^2 - ||a-b||^2/h^4 ]
-    """
-    if h <= 0:
-        raise ConfigurationError(f"bandwidth must be positive, got {h}")
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    s_a = np.asarray(s_a, dtype=np.float64)
-    s_b = np.asarray(s_b, dtype=np.float64)
-    if not (a.shape == b.shape == s_a.shape == s_b.shape):
-        raise ShapeError(
-            f"shape mismatch: a{a.shape} b{b.shape} s_a{s_a.shape} s_b{s_b.shape}"
-        )
-    d = a.shape[0]
-    delta = a - b
-    r2 = float(delta @ delta)
-    k = np.exp(-r2 / (2.0 * h * h))
-    h2 = h * h
-    cross = float((s_a - s_b) @ delta)
-    return float(k * (float(s_a @ s_b) + cross / h2 + d / h2 - r2 / (h2 * h2)))
-
-
 def score_table(
-    model: diffnet.MlpModel, ds: LabeledDataset, ids: np.ndarray
+    model: diffnet.MlpModel, X: np.ndarray, y: np.ndarray, ids: np.ndarray
 ) -> ScoreTable:
-    """Scores, gradient norms, and predictions for the given sample ids."""
-    ids = np.asarray(ids, dtype=np.int64)
-    X, y = gather(ds, ids)
-    return ScoreTable(
-        input_scores=diffnet.input_scores(model, X, y),
-        param_grad_norms=diffnet.per_sample_grad_norms(model, X, y),
-        probs=diffnet.predict_probs(model, X),
-        sample_ids=ids,
-    )
+    """Input scores, gradient norms and probs of the rows (X, y) of sample `ids`."""
+    scores, norms, probs = diffnet.per_sample_scores(model, X, y)
+    return ScoreTable(scores, norms, probs, ids)
 
 
-def stein_kernel_matrix_from_scores(
+def stein_kernel_matrix(
     features: np.ndarray,
     scores: np.ndarray,
     h: float,
     sample_ids: np.ndarray | None = None,
 ) -> SteinKernelMatrix:
-    """Pairwise Stein kernel matrix from raw feature rows and score rows.
+    """Pairwise Stein kernel matrix from feature rows and their score rows.
 
-    This is the model-independent pathway: scores may come from any density,
-    not just a trained classifier. The upper triangle is computed and
-    mirrored so symmetry is exact, and the diagonal uses its closed form
-    ||s_i||^2 + d/h^2 directly.
+    For the RBF base kernel k with bandwidth h, entry (i, j) is
+
+        k(x_i,x_j) * [ s_i.s_j + (s_i - s_j).(x_i - x_j)/h^2 + d/h^2
+                       - ||x_i - x_j||^2/h^4 ]
+
+    The scores may come from any density, not just a trained classifier.
+    The upper triangle is computed and mirrored so symmetry is exact, and
+    the diagonal uses its closed form ||s_i||^2 + d/h^2 directly.
     """
     if h <= 0:
         raise ConfigurationError(f"bandwidth must be positive, got {h}")
@@ -196,16 +151,6 @@ def stein_kernel_matrix_from_scores(
     vals = vals + vals.T
     np.fill_diagonal(vals, np.einsum("ij,ij->i", S, S) + d / h2)
     return SteinKernelMatrix(vals, h, sample_ids)
-
-
-def stein_kernel_matrix(
-    ds: LabeledDataset, table: ScoreTable, h: float
-) -> SteinKernelMatrix:
-    """Kernel matrix over the table's samples using the model's input scores."""
-    X, _ = gather(ds, table.sample_ids)
-    return stein_kernel_matrix_from_scores(
-        X, table.input_scores, h, table.sample_ids
-    )
 
 
 def ksd_statistic(m: SteinKernelMatrix, mode: str = "u_stat") -> float:

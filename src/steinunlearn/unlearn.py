@@ -7,7 +7,6 @@ so an attached AccessLog can prove the forget samples were never touched.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,11 +59,10 @@ class UnlearnConfig:
 
 @dataclass
 class UnlearnOutcome:
-    """Modified model plus how much work producing it took."""
+    """Modified model plus how many update steps producing it took."""
 
     unlearned: diffnet.MlpModel
     steps_taken: int
-    wall_time: float
 
 
 def grad_ascent(
@@ -83,7 +81,6 @@ def grad_ascent(
     if forget_ids.size == 0:
         raise ArgumentError("forget set is empty")
     X, y = gather(ds, forget_ids)
-    t0 = time.perf_counter()
     current = model.copy()
     steps = 0
     # overflow inside a diverging run is handled explicitly below
@@ -105,7 +102,23 @@ def grad_ascent(
                     f"last finite step was {steps}"
                 ) from exc
             steps += 1
-    return UnlearnOutcome(current, steps, time.perf_counter() - t0)
+    return UnlearnOutcome(current, steps)
+
+
+def _sgd_on_retain(
+    start: diffnet.MlpModel,
+    ds: LabeledDataset,
+    retain_ids: np.ndarray,
+    cfg: UnlearnConfig,
+) -> UnlearnOutcome:
+    """SGD from `start` on the retain split only."""
+    retain_ids = np.asarray(retain_ids, dtype=np.int64)
+    if retain_ids.size == 0:
+        raise ArgumentError("retain set is empty")
+    X, y = gather(ds, retain_ids)
+    trained = diffnet.train(start, X, y, cfg.lr, cfg.epochs, cfg.batch_size, cfg.seed)
+    batches = -(-X.shape[0] // cfg.batch_size)
+    return UnlearnOutcome(trained, cfg.epochs * batches)
 
 
 def fine_tune(
@@ -115,14 +128,7 @@ def fine_tune(
     cfg: UnlearnConfig,
 ) -> UnlearnOutcome:
     """Continue SGD training on the retain split only."""
-    retain_ids = np.asarray(retain_ids, dtype=np.int64)
-    if retain_ids.size == 0:
-        raise ArgumentError("retain set is empty")
-    X, y = gather(ds, retain_ids)
-    t0 = time.perf_counter()
-    tuned = diffnet.train(model, X, y, cfg.lr, cfg.epochs, cfg.batch_size, cfg.seed)
-    batches = -(-X.shape[0] // cfg.batch_size)
-    return UnlearnOutcome(tuned, cfg.epochs * batches, time.perf_counter() - t0)
+    return _sgd_on_retain(model, ds, retain_ids, cfg)
 
 
 def fisher_forget(
@@ -141,18 +147,15 @@ def fisher_forget(
     if retain_ids.size == 0:
         raise ArgumentError("retain set is empty")
     X, y = gather(ds, retain_ids)
-    t0 = time.perf_counter()
     if cfg.alpha == 0.0:
-        return UnlearnOutcome(model.copy(), 0, time.perf_counter() - t0)
+        return UnlearnOutcome(model.copy(), 0)
     fim = diffnet.fisher_diagonal(model, X, y)
     # an overflowing sigma gives non-finite parameters, which with_params rejects
     with np.errstate(over="ignore"):
         sigma = np.sqrt(cfg.alpha / (fim + FISHER_DAMPING))
     rng = np.random.default_rng(cfg.seed)
     noise = rng.standard_normal(model.params.shape[0]) * sigma
-    return UnlearnOutcome(
-        model.with_params(model.params + noise), 1, time.perf_counter() - t0
-    )
+    return UnlearnOutcome(model.with_params(model.params + noise), 1)
 
 
 def retrain(
@@ -162,15 +165,7 @@ def retrain(
     cfg: UnlearnConfig,
 ) -> UnlearnOutcome:
     """Train a freshly initialized model on the retain split only."""
-    retain_ids = np.asarray(retain_ids, dtype=np.int64)
-    if retain_ids.size == 0:
-        raise ArgumentError("retain set is empty")
-    X, y = gather(ds, retain_ids)
-    t0 = time.perf_counter()
-    fresh = diffnet.init_network(spec, cfg.seed)
-    trained = diffnet.train(fresh, X, y, cfg.lr, cfg.epochs, cfg.batch_size, cfg.seed)
-    batches = -(-X.shape[0] // cfg.batch_size)
-    return UnlearnOutcome(trained, cfg.epochs * batches, time.perf_counter() - t0)
+    return _sgd_on_retain(diffnet.init_network(spec, cfg.seed), ds, retain_ids, cfg)
 
 
 def expand_forget_set(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from steinunlearn import diffnet
+from steinunlearn.errors import ConfigurationError, ShapeError
 
 
 def rel_close(a, b, rtol, floor=1.0):
@@ -52,6 +53,48 @@ def fd_grad_input(model, x, y, h=1e-5):
         minus[i] -= h
         grad[i] = (loglik(plus) - loglik(minus)) / (2 * h)
     return grad
+
+
+def rbf(a: np.ndarray, b: np.ndarray, h: float) -> float:
+    """exp(-||a - b||^2 / (2 h^2))."""
+    if h <= 0:
+        raise ConfigurationError(f"bandwidth must be positive, got {h}")
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
+    delta = a - b
+    return float(np.exp(-(delta @ delta) / (2.0 * h * h)))
+
+
+def stein_kernel(
+    a: np.ndarray, b: np.ndarray, s_a: np.ndarray, s_b: np.ndarray, h: float
+) -> float:
+    """Closed-form Stein kernel for the RBF base kernel.
+
+    Combines the base-kernel cross-Hessian trace (raw feature similarity),
+    the score inner product, and the two kernel-gradient/score cross terms
+    into one scalar:
+
+        k(a,b) * [ s_a.s_b + (s_a - s_b).(a - b)/h^2 + d/h^2 - ||a-b||^2/h^4 ]
+    """
+    if h <= 0:
+        raise ConfigurationError(f"bandwidth must be positive, got {h}")
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    s_a = np.asarray(s_a, dtype=np.float64)
+    s_b = np.asarray(s_b, dtype=np.float64)
+    if not (a.shape == b.shape == s_a.shape == s_b.shape):
+        raise ShapeError(
+            f"shape mismatch: a{a.shape} b{b.shape} s_a{s_a.shape} s_b{s_b.shape}"
+        )
+    d = a.shape[0]
+    delta = a - b
+    r2 = float(delta @ delta)
+    k = np.exp(-r2 / (2.0 * h * h))
+    h2 = h * h
+    cross = float((s_a - s_b) @ delta)
+    return float(k * (float(s_a @ s_b) + cross / h2 + d / h2 - r2 / (h2 * h2)))
 
 
 @pytest.fixture

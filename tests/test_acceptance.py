@@ -17,7 +17,9 @@ import pytest
 from steinunlearn import cli, diffnet, evaluation, experiment, scoring, stein, unlearn
 from steinunlearn.config import ExperimentConfig
 
-from conftest import fd_grad_input, fd_grad_params, random_model, rel_close
+from conftest import (
+    fd_grad_input, fd_grad_params, random_model, rel_close, stein_kernel,
+)
 from test_stein import fd_stein_kernel
 
 
@@ -101,7 +103,7 @@ def test_criterion_01_stein_kernel_oracle():
         a, b = rng.uniform(-1, 1, d), rng.uniform(-1, 1, d)
         s_a, s_b = rng.uniform(-1, 1, d), rng.uniform(-1, 1, d)
         h = float(rng.uniform(0.5, 2.0))
-        closed = stein.stein_kernel(a, b, s_a, s_b, h)
+        closed = stein_kernel(a, b, s_a, s_b, h)
         fd = fd_stein_kernel(a, b, s_a, s_b, h)
         assert rel_close(closed, fd, 1e-4), f"instance {trial}"
         checked += 1
@@ -121,7 +123,7 @@ def test_criterion_02_ksd_null_and_alternative():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((500, 2))
     h = stein.median_bandwidth(X)
-    m_null = stein.stein_kernel_matrix_from_scores(X, -X, h)
+    m_null = stein.stein_kernel_matrix(X, -X, h)
     u_null = stein.ksd_statistic(m_null, "u_stat")
     off = m_null.values[~np.eye(500, dtype=bool)]
     se = off.std() / np.sqrt(off.size)
@@ -130,7 +132,7 @@ def test_criterion_02_ksd_null_and_alternative():
     us = []
     for shift in (0.5, 1.0, 2.0):
         mu = np.full(2, shift)
-        m = stein.stein_kernel_matrix_from_scores(X, -(X - mu), h)
+        m = stein.stein_kernel_matrix(X, -(X - mu), h)
         us.append(stein.ksd_statistic(m, "u_stat"))
     assert us[1] > 10 * abs(u_null)
     assert us[0] < us[1] < us[2]
@@ -156,7 +158,7 @@ def test_criterion_03_gradient_oracles():
         g_p = diffnet.grad_params(model, x[None, :], np.array([y]))
         assert rel_close(g_p, fd_grad_params(model, x[None, :], np.array([y])),
                          1e-4, floor=1e-3), f"grad_params instance {trial}"
-        g_x = diffnet.input_scores(model, x[None], [y])[0]
+        g_x = diffnet.per_sample_scores(model, x[None], [y])[0][0]
         assert rel_close(g_x, fd_grad_input(model, x, y), 1e-4, floor=1e-3), \
             f"grad_input instance {trial}"
         checked += 1

@@ -169,7 +169,7 @@ class TestGradInput:
             model = random_model(rng, sizes, activation="tanh")
             x = rng.uniform(-1, 1, sizes[0])
             y = int(rng.integers(sizes[-1]))
-            g = diffnet.input_scores(model, x[None], [y])[0]
+            g = diffnet.per_sample_scores(model, x[None], [y])[0][0]
             fd = fd_grad_input(model, x, y)
             assert rel_close(g, fd, 1e-4, floor=1e-3), f"trial {trial}"
 
@@ -185,14 +185,15 @@ class TestGradInput:
         e_y = np.zeros(4)
         e_y[y] = 1.0
         expected = (e_y - trace.probs[0]) @ model.weight(0)
-        assert np.allclose(diffnet.input_scores(model, x[None], [y])[0], expected,
-                           rtol=1e-12)
+        scores = diffnet.per_sample_scores(model, x[None], [y])[0]
+        assert np.allclose(scores[0], expected, rtol=1e-12)
 
     def test_zero_at_certainty(self):
         spec = diffnet.NetworkSpec((1, 2))
         layout = diffnet.build_layout(spec)
         model = diffnet.MlpModel(spec, np.array([800.0, 0.0, 0.0, 0.0]), layout)
-        assert np.all(diffnet.input_scores(model, np.array([[1.0]]), [0])[0] == 0.0)
+        scores = diffnet.per_sample_scores(model, np.array([[1.0]]), [0])[0]
+        assert np.all(scores[0] == 0.0)
 
 
 class TestTrain:

@@ -201,7 +201,7 @@ class TestVerdict:
     def test_unchanged_model_fails(self, rng):
         model = _linear_conf_model(5.0)
         X, preds = self._splits(rng, model)
-        outcome = UnlearnOutcome(model.copy(), 0, 0.0)
+        outcome = UnlearnOutcome(model.copy(), 0)
         report = evaluation.verdict(
             model, outcome,
             forget=(X[:2], preds[:2]),   # still classified correctly
@@ -216,7 +216,7 @@ class TestVerdict:
         original = _linear_conf_model(5.0)
         flipped = _linear_conf_model(-5.0)  # predicts the other class everywhere
         X, preds = self._splits(rng, original)
-        outcome = UnlearnOutcome(flipped, 3, 0.0)
+        outcome = UnlearnOutcome(flipped, 3)
         report = evaluation.verdict(
             original, outcome,
             forget=(X[:2], preds[:2]),
@@ -232,7 +232,7 @@ class TestVerdict:
         original = _linear_conf_model(5.0)
         flipped = _linear_conf_model(-5.0)
         X, preds = self._splits(rng, original)
-        outcome = UnlearnOutcome(flipped, 3, 0.0)
+        outcome = UnlearnOutcome(flipped, 3)
         report = evaluation.verdict(
             original, outcome,
             forget=(X[:2], preds[:2]),
@@ -248,7 +248,7 @@ class TestVerdict:
         original = _linear_conf_model(5.0)
         flipped = _linear_conf_model(-5.0)
         X, preds = self._splits(rng, original)
-        outcome = UnlearnOutcome(flipped, 3, 0.0)
+        outcome = UnlearnOutcome(flipped, 3)
         successes = []
         for eps in (0.0, 0.5, 1.0):
             report = evaluation.verdict(

@@ -2,12 +2,15 @@
 
 `diffnet.forward` is the only forward pass; every other diffnet function
 and every caller goes through it, so counting its calls counts passes.
+Likewise `data.gather` is the only way to read dataset rows.
 """
+
+import sys
 
 import numpy as np
 import pytest
 
-from steinunlearn import diffnet, evaluation, experiment, unlearn
+from steinunlearn import data, diffnet, evaluation, experiment, unlearn
 from steinunlearn.config import ExperimentConfig
 from steinunlearn.data import gather, make_blobs, split
 
@@ -28,6 +31,25 @@ def passes(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def gathers(monkeypatch):
+    """Ids of every `data.gather` call made while the test runs.
+
+    Modules import `gather` by name, so it is patched wherever it is bound.
+    """
+    calls = []
+    real = data.gather
+
+    def counting(ds, ids):
+        calls.append(np.asarray(ids).copy())
+        return real(ds, ids)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("steinunlearn") and getattr(module, "gather", None) is real:
+            monkeypatch.setattr(module, "gather", counting)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def blobs():
     ds = make_blobs(20, np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]), 0.8, 0)
@@ -45,7 +67,7 @@ def test_verdict_runs_one_pass_per_model_and_split(blobs, passes,
     plan = plan.with_forget(plan.train_ids[:3])
     nudged = model.with_params(model.params + 0.01)
     evaluation.verdict(
-        model, unlearn.UnlearnOutcome(nudged, 1, 0.0),
+        model, unlearn.UnlearnOutcome(nudged, 1),
         forget=gather(ds, plan.forget_ids),
         retain=gather(ds, plan.retain_ids),
         test=gather(ds, plan.test_ids),
@@ -79,3 +101,14 @@ def test_train_log_adds_one_pass_per_epoch(passes):
                   tr.lr, tr.epochs, tr.batch_size, 0)
     experiment.score_base(config, 0, base.ds, base.plan, base.model, [])
     assert with_log - len(passes) == tr.epochs
+
+
+def test_score_base_runs_one_pass_and_one_gather(passes, gathers):
+    config = ExperimentConfig.from_dict(mini_config_dict())
+    base = experiment.train_base(config, 0)
+    passes.clear()
+    gathers.clear()
+    experiment.score_base(config, 0, base.ds, base.plan, base.model, [])
+    assert passes == [base.plan.train_ids.size]
+    assert len(gathers) == 1
+    assert np.array_equal(gathers[0], base.plan.train_ids)

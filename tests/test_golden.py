@@ -1,17 +1,20 @@
 """Golden artifact digests: the behaviour gate for refactors.
 
 One small fixed `experiment` run covering all five metrics, all four
-methods and two expansion sizes. Its artifacts must match the sha256
-digests below byte for byte. A change that moves one of them either is a
-bug or names the change and its reason in CHANGES.md and records the new
-digest here. The digests were recorded with numpy 2.4 and OpenBLAS 0.3.31
-on x86-64; another numpy or BLAS build may round differently.
+methods and two expansion sizes, plus `score --kernel-csv` and `train` on
+the same config. Their artifacts must match the sha256 digests below byte
+for byte. A change that moves one of them either is a bug or names the
+change and its reason in CHANGES.md and records the new digest here. The
+digests were recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64;
+another numpy or BLAS build may round differently.
 """
 
 import hashlib
 import json
 
-from steinunlearn import cli
+import pytest
+
+from steinunlearn import cli, stein
 
 from test_config_cli import mini_config_dict
 
@@ -25,8 +28,21 @@ GOLDEN_DIGESTS = {
     "trainlog-s0.csv": "048fe154938db8425b30021a0dc6693155b3dfac1d78e0c4213b26116e61371d",
 }
 
+# `score --kernel-csv` on the same config.
+SCORE_DIGESTS = {
+    "rankings-s0.csv": GOLDEN_DIGESTS["rankings-s0.csv"],
+    "kernel-s0.csv": "f8d1787c669240467ca005165f005d9d0fa430e4d5c3aa51ba7cca620c8571cc",
+}
 
-def test_experiment_artifacts_match_golden_digests(tmp_path, monkeypatch):
+# `train` on the same config.
+TRAIN_DIGESTS = {
+    name: GOLDEN_DIGESTS[name] for name in ("model-s0.json", "trainlog-s0.csv")
+}
+
+
+@pytest.fixture
+def golden_config(tmp_path, monkeypatch):
+    """Write the golden config to cfg.json in a fresh working directory."""
     # output_dir is recorded in config.json, so it stays the relative "out"
     monkeypatch.chdir(tmp_path)
     cfg = mini_config_dict(
@@ -41,7 +57,28 @@ def test_experiment_artifacts_match_golden_digests(tmp_path, monkeypatch):
         expansion_ks=[0, 2],
     )
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    return tmp_path
+
+
+def _digests(out, names):
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in names}
+
+
+def test_experiment_artifacts_match_golden_digests(golden_config):
     assert cli.main(["experiment", "--config", "cfg.json"]) == 0
-    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
-               for name in GOLDEN_DIGESTS}
-    assert digests == GOLDEN_DIGESTS
+    assert _digests(golden_config / "out", GOLDEN_DIGESTS) == GOLDEN_DIGESTS
+
+
+def test_score_kernel_csv_artifacts_match_golden_digests(golden_config):
+    assert cli.main(["score", "--config", "cfg.json", "--kernel-csv"]) == 0
+    assert _digests(golden_config / "out", SCORE_DIGESTS) == SCORE_DIGESTS
+
+
+def test_train_builds_no_stein_kernel(golden_config, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("train built a Stein kernel")
+
+    monkeypatch.setattr(stein, "stein_kernel_matrix", refuse)
+    assert cli.main(["train", "--config", "cfg.json"]) == 0
+    assert _digests(golden_config / "out", TRAIN_DIGESTS) == TRAIN_DIGESTS

@@ -138,6 +138,15 @@ class TestEntropy:
         with pytest.raises(ArgumentError):
             scoring.entropy(np.array([0.5, 0.6]))
 
+    def test_rows_match_each_vector(self):
+        rows = np.array([[0.25, 0.25, 0.5], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]])
+        expected = [scoring.entropy(row) for row in rows]
+        assert np.array_equal(scoring.entropy(rows), expected)
+
+    def test_non_simplex_row_rejected(self):
+        with pytest.raises(ArgumentError):
+            scoring.entropy(np.array([[0.5, 0.5], [0.5, 0.6]]))
+
 
 class TestEmsksd:
     def test_scalar_division(self):

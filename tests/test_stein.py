@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from steinunlearn import diffnet, stein
-from steinunlearn.data import LabeledDataset, make_blobs
+from steinunlearn.data import LabeledDataset, gather, make_blobs
 from steinunlearn.errors import (
     ArgumentError,
     ConfigurationError,
@@ -12,7 +12,7 @@ from steinunlearn.errors import (
     ShapeError,
 )
 
-from conftest import fd_grad_params, random_model, rel_close
+from conftest import fd_grad_params, random_model, rbf, rel_close, stein_kernel
 
 
 def fd_stein_kernel(a, b, s_a, s_b, h, step=1e-5):
@@ -70,21 +70,21 @@ class TestMedianBandwidth:
 
 class TestRbf:
     def test_identical_points(self):
-        assert stein.rbf(np.array([1.0, 2.0]), np.array([1.0, 2.0]), 0.7) == 1.0
+        assert rbf(np.array([1.0, 2.0]), np.array([1.0, 2.0]), 0.7) == 1.0
 
     def test_unit_exponent(self):
         # ||a-b|| = h*sqrt(2) forces exponent -1
         h = 1.3
         a = np.array([0.0])
         b = np.array([h * np.sqrt(2.0)])
-        assert stein.rbf(a, b, h) == pytest.approx(np.exp(-1.0), rel=1e-12)
+        assert rbf(a, b, h) == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_far_apart_vanishes(self):
-        assert stein.rbf(np.array([0.0]), np.array([1e4]), 1.0) == 0.0
+        assert rbf(np.array([0.0]), np.array([1e4]), 1.0) == 0.0
 
     def test_nonpositive_bandwidth(self):
         with pytest.raises(ConfigurationError):
-            stein.rbf(np.array([0.0]), np.array([1.0]), 0.0)
+            rbf(np.array([0.0]), np.array([1.0]), 0.0)
 
 
 class TestSteinKernel:
@@ -92,14 +92,14 @@ class TestSteinKernel:
         d, h = 3, 0.8
         z = np.zeros(d)
         a = np.array([1.0, -2.0, 0.5])
-        assert stein.stein_kernel(a, a, z, z, h) == pytest.approx(d / h**2, rel=1e-12)
+        assert stein_kernel(a, a, z, z, h) == pytest.approx(d / h**2, rel=1e-12)
 
     def test_diagonal_value(self):
         a = np.array([0.3, -0.7])
         s = np.array([1.5, 2.0])
         h = 1.1
         expected = float(s @ s) + 2 / h**2
-        assert stein.stein_kernel(a, a, s, s, h) == pytest.approx(expected, rel=1e-12)
+        assert stein_kernel(a, a, s, s, h) == pytest.approx(expected, rel=1e-12)
 
     def test_swap_symmetry_bitwise(self, rng):
         for _ in range(50):
@@ -107,7 +107,7 @@ class TestSteinKernel:
             a, b = rng.normal(size=d), rng.normal(size=d)
             s_a, s_b = rng.normal(size=d), rng.normal(size=d)
             h = float(rng.uniform(0.5, 2.0))
-            assert stein.stein_kernel(a, b, s_a, s_b, h) == stein.stein_kernel(
+            assert stein_kernel(a, b, s_a, s_b, h) == stein_kernel(
                 b, a, s_b, s_a, h
             )
 
@@ -118,13 +118,13 @@ class TestSteinKernel:
             a, b = rng.uniform(-1, 1, d), rng.uniform(-1, 1, d)
             s_a, s_b = rng.uniform(-1, 1, d), rng.uniform(-1, 1, d)
             h = float(rng.uniform(0.5, 2.0))
-            closed = stein.stein_kernel(a, b, s_a, s_b, h)
+            closed = stein_kernel(a, b, s_a, s_b, h)
             fd = fd_stein_kernel(a, b, s_a, s_b, h)
             assert rel_close(closed, fd, 1e-4), f"trial {trial}"
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            stein.stein_kernel(
+            stein_kernel(
                 np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(3), 1.0
             )
 
@@ -133,7 +133,7 @@ class TestScoreTable:
     def test_shapes(self, rng):
         ds = make_blobs(10, np.array([[0.0, 0.0], [4.0, 4.0]]), std=1.0, seed=0)
         model = random_model(rng, (2, 5, 2))
-        table = stein.score_table(model, ds, ds.ids)
+        table = stein.score_table(model, *gather(ds, ds.ids), ds.ids)
         assert table.input_scores.shape == (20, 2)
         assert table.param_grad_norms.shape == (20,)
         assert table.probs.shape == (20, 2)
@@ -143,7 +143,7 @@ class TestScoreTable:
         layout = diffnet.build_layout(spec)
         model = diffnet.MlpModel(spec, np.array([800.0, 0.0, 0.0, 0.0]), layout)
         ds = LabeledDataset(np.array([[1.0]]), np.array([0]), np.array([0]), 2)
-        table = stein.score_table(model, ds, ds.ids)
+        table = stein.score_table(model, *gather(ds, ds.ids), ds.ids)
         assert np.all(table.input_scores == 0.0)
         assert table.param_grad_norms[0] == 0.0
 
@@ -153,7 +153,7 @@ class TestScoreTable:
         X = rng.uniform(-1, 1, (5, 2))
         y = rng.integers(0, 3, 5)
         ds = LabeledDataset(X, y, np.arange(5), 3)
-        table = stein.score_table(model, ds, ds.ids)
+        table = stein.score_table(model, *gather(ds, ds.ids), ds.ids)
         for i in range(5):
             fd_norm = np.linalg.norm(fd_grad_params(model, X[i : i + 1], y[i : i + 1]))
             assert rel_close(table.param_grad_norms[i], fd_norm, 1e-4, floor=1e-3)
@@ -164,43 +164,45 @@ class TestKernelMatrix:
         X = np.array([[1.0, 2.0]])
         S = np.array([[0.5, -0.5]])
         h = 1.5
-        m = stein.stein_kernel_matrix_from_scores(X, S, h)
+        m = stein.stein_kernel_matrix(X, S, h)
         expected = float(S[0] @ S[0]) + 2 / h**2
         assert m.values[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_exact_symmetry_by_mirroring(self, rng):
         X = rng.normal(size=(40, 3))
         S = rng.normal(size=(40, 3))
-        m = stein.stein_kernel_matrix_from_scores(X, S, 1.0)
+        m = stein.stein_kernel_matrix(X, S, 1.0)
         assert np.array_equal(m.values, m.values.T)
 
     def test_agrees_with_scalar_kernel(self, rng):
         X = rng.normal(size=(12, 2))
         S = rng.normal(size=(12, 2))
         h = 0.9
-        m = stein.stein_kernel_matrix_from_scores(X, S, h)
+        m = stein.stein_kernel_matrix(X, S, h)
         for i in range(12):
             for j in range(12):
-                expected = stein.stein_kernel(X[i], X[j], S[i], S[j], h)
+                expected = stein_kernel(X[i], X[j], S[i], S[j], h)
                 assert rel_close(m.values[i, j], expected, 1e-9)
 
     def test_permutation_equivariance(self, rng):
         X = rng.normal(size=(15, 2))
         S = rng.normal(size=(15, 2))
-        m = stein.stein_kernel_matrix_from_scores(X, S, 1.0)
+        m = stein.stein_kernel_matrix(X, S, 1.0)
         perm = rng.permutation(15)
-        mp = stein.stein_kernel_matrix_from_scores(X[perm], S[perm], 1.0)
+        mp = stein.stein_kernel_matrix(X[perm], S[perm], 1.0)
         assert np.allclose(mp.values, m.values[np.ix_(perm, perm)], atol=1e-12)
 
     def test_model_pathway_matches_raw_pathway(self, rng):
         ds = make_blobs(8, np.array([[0.0, 0.0], [3.0, 3.0]]), std=1.0, seed=1)
         model = random_model(rng, (2, 4, 2))
-        table = stein.score_table(model, ds, ds.ids)
-        m = stein.stein_kernel_matrix(ds, table, 1.2)
-        raw = stein.stein_kernel_matrix_from_scores(
-            ds.features, table.input_scores, 1.2, ds.ids
+        table = stein.score_table(model, *gather(ds, ds.ids), ds.ids)
+        m = stein.stein_kernel_matrix(
+            ds.features, table.input_scores, 1.2, table.sample_ids
         )
+        scores = diffnet.per_sample_scores(model, ds.features, ds.labels)[0]
+        raw = stein.stein_kernel_matrix(ds.features, scores, 1.2, ds.ids)
         assert np.array_equal(m.values, raw.values)
+        assert np.array_equal(m.sample_ids, raw.sample_ids)
 
 
 class TestKsdStatistic:
@@ -221,7 +223,7 @@ class TestKsdStatistic:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((500, 2))
         h = stein.median_bandwidth(X)
-        m = stein.stein_kernel_matrix_from_scores(X, -X, h)
+        m = stein.stein_kernel_matrix(X, -X, h)
         u = stein.ksd_statistic(m, "u_stat")
         off = m.values[~np.eye(500, dtype=bool)]
         se = off.std() / np.sqrt(off.size)
@@ -232,12 +234,12 @@ class TestKsdStatistic:
         X = rng.standard_normal((500, 2))
         h = stein.median_bandwidth(X)
         null_u = stein.ksd_statistic(
-            stein.stein_kernel_matrix_from_scores(X, -X, h), "u_stat"
+            stein.stein_kernel_matrix(X, -X, h), "u_stat"
         )
         us = []
         for shift in (0.5, 1.0, 2.0):
             mu = np.full(2, shift)
-            m = stein.stein_kernel_matrix_from_scores(X, -(X - mu), h)
+            m = stein.stein_kernel_matrix(X, -(X - mu), h)
             us.append(stein.ksd_statistic(m, "u_stat"))
         assert us[1] > 0
         assert us[1] > 10 * abs(null_u)
@@ -248,7 +250,7 @@ class TestCsvExport:
     def test_round_trippable_dump(self, tmp_path, rng):
         X = rng.normal(size=(5, 2))
         S = rng.normal(size=(5, 2))
-        m = stein.stein_kernel_matrix_from_scores(X, S, 1.0, np.arange(10, 15))
+        m = stein.stein_kernel_matrix(X, S, 1.0, np.arange(10, 15))
         path = tmp_path / "kernel.csv"
         stein.kernel_matrix_to_csv(m, path)
         lines = path.read_text().strip().split("\n")
