@@ -105,7 +105,8 @@ def cmd_unlearn(config: ExperimentConfig, method: str, target: int, k: int) -> i
         raise ConfigurationError(f"no config block for method {method!r}")
     out = _out_dir(config)
     seed = config.seeds[0]
-    base = exp.train_base(config, seed)
+    # only the kernel is read, so no metric is ranked
+    base = exp.train_base(dataclasses.replace(config, metrics=()), seed)
     report, forget_ids, outcome = exp.run_single(
         base, target, blocks[0], k, config.epsilon,
         config.mia_calibrate_on_original,
@@ -166,15 +167,8 @@ def cmd_evaluate(config: ExperimentConfig, original_path: str,
 
 def cmd_experiment(config: ExperimentConfig) -> int:
     out = _out_dir(config)
-    bases = [exp.train_base(config, seed) for seed in config.seeds]
-    for base in bases:
-        exp.write_model_json(base.model, out / f"model-s{base.seed}.json")
-        exp.write_train_log_csv(base.train_log, out / f"trainlog-s{base.seed}.csv")
-        scoring.rankings_to_csv(
-            [base.rankings[m] for m in config.metrics],
-            out / f"rankings-s{base.seed}.csv",
-        )
-    rows = exp.run_experiment(config, bases)
+    rows = [row for seed in config.seeds
+            for row in _experiment_seed(config, seed, out)]
     exp.write_report_csv(rows, out / "report.csv")
     exp.write_reports_jsonl(rows, out / "reports.jsonl")
     exp.write_aggregate_csv(exp.aggregate_rows(rows), out / "aggregate.csv")
@@ -182,6 +176,23 @@ def cmd_experiment(config: ExperimentConfig) -> int:
     failures = sum(1 for r in rows if r.status != "ok")
     print(f"{len(rows)} runs, {failures} failed -> {out / 'report.csv'}")
     return EXIT_PARTIAL if failures else EXIT_OK
+
+
+def _experiment_seed(
+    config: ExperimentConfig, seed: int, out: Path
+) -> list[exp.RunRow]:
+    """Build one seed's base, write its files and run its rows.
+
+    The base, with its n x n kernel, lives only in this frame, so it is
+    freed before the next seed's base is built.
+    """
+    base = exp.train_base(config, seed)
+    exp.write_model_json(base.model, out / f"model-s{seed}.json")
+    exp.write_train_log_csv(base.train_log, out / f"trainlog-s{seed}.csv")
+    scoring.rankings_to_csv(
+        [base.rankings[m] for m in config.metrics], out / f"rankings-s{seed}.csv"
+    )
+    return exp.run_base(config, base)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -301,11 +301,6 @@ def fisher_diagonal(model: MlpModel, X: np.ndarray, y: np.ndarray) -> np.ndarray
     )
 
 
-def predict_probs(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    """Class probabilities for an (n, d) batch."""
-    return forward(model, X).probs
-
-
 # overflow in a diverging run surfaces as non-finite parameters, which
 # with_params rejects on every step
 @np.errstate(over="ignore", invalid="ignore")

@@ -2,8 +2,8 @@
 
 One base model per seed is trained, scored, and ranked; then every
 (metric, easy/difficult end, target, method, expansion size) combination is
-unlearned from that same starting point and measured. Rows are produced in
-run-key order and failures are isolated per row.
+unlearned from that same starting point and measured (`run_base`). Rows are
+produced in run-key order and failures are isolated per row.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -74,20 +75,12 @@ class RunRow:
     status: str
 
     def to_csv_values(self) -> list:
-        base = [self.run_id, self.metric, self.target_id, self.easy_or_difficult,
-                self.method, self.k_expansion]
-        if self.report is None:
-            values = base + [""] * 11
-        else:
-            r = self.report
-            values = base + [
-                repr(r.forget_acc), repr(r.retain_acc), repr(r.test_acc),
-                repr(r.forget_loss), repr(r.retain_loss), repr(r.test_loss),
-                repr(r.total_param_distance), repr(r.activation_distance),
-                repr(r.mia_efficacy), r.steps_taken, r.success,
-            ]
-        values.append(self.status)
-        return values
+        """The REPORT_CSV_COLUMNS values; a row without a report leaves the
+        measured columns blank."""
+        run_key = [getattr(self, c) for c in REPORT_COLUMNS[:6]]
+        measured = [getattr(self.report, c) if self.report else ""
+                    for c in REPORT_COLUMNS[6:]]
+        return run_key + measured + [self.status]
 
 
 def train_model(
@@ -137,10 +130,14 @@ def score_base(
     kernel = stein.stein_kernel_matrix(
         train_X, table.input_scores, bandwidth, plan.train_ids
     )
+    # MSKSD and EMSKSD share one MSKSD vector
+    msksd_scores = (
+        scoring.msksd(kernel, config.msksd_global)
+        if {"MSKSD", "EMSKSD"} & set(config.metrics) else None
+    )
     rankings = {
         metric: scoring.compute_metric(
-            metric, table, kernel, train_y,
-            entropy_floor=config.entropy_floor, msksd_global=config.msksd_global,
+            metric, table, kernel, train_y, msksd_scores, config.entropy_floor
         )
         for metric in config.metrics
     }
@@ -179,48 +176,43 @@ def run_single(
     return report, forget_ids, outcome
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    bases: list[TrainedBase] | None = None,
-) -> list[RunRow]:
-    """All runs for all seeds, in deterministic run-key order."""
-    if bases is None:
-        bases = [train_base(config, seed) for seed in config.seeds]
+def run_base(config: ExperimentConfig, base: TrainedBase) -> list[RunRow]:
+    """Every run of one base, in deterministic run-key order."""
     rows: list[RunRow] = []
-    for base in bases:
-        max_k = base.plan.train_ids.size - 1
-        for metric in config.metrics:
-            targets = select_targets(base.rankings[metric], config.top_k_each_end)
-            for end in (EASY, DIFFICULT):
-                for target in targets[end]:
-                    for method_cfg in config.methods:
-                        for k in config.expansion_ks:
-                            run_id = (
-                                f"s{base.seed}-{metric}-{end}-t{int(target)}-"
-                                f"{method_cfg.method}-k{k}"
-                            )
-                            if k > max_k:
-                                rows.append(RunRow(
-                                    run_id, base.seed, metric, int(target), end,
-                                    method_cfg.method, k, None,
-                                    f"error: k={k} exceeds training size {max_k + 1}",
-                                ))
-                                continue
-                            try:
-                                report, _, _ = run_single(
-                                    base, int(target), method_cfg, k, config.epsilon,
-                                    config.mia_calibrate_on_original,
-                                )
-                                rows.append(RunRow(
-                                    run_id, base.seed, metric, int(target), end,
-                                    method_cfg.method, k, report, "ok",
-                                ))
-                            except (SteinUnlearnError, FloatingPointError) as exc:
-                                rows.append(RunRow(
-                                    run_id, base.seed, metric, int(target), end,
-                                    method_cfg.method, k, None, f"error: {exc}",
-                                ))
+    for metric in config.metrics:
+        targets = select_targets(base.rankings[metric], config.top_k_each_end)
+        for end in (EASY, DIFFICULT):
+            for target, method_cfg, k in product(
+                targets[end].tolist(), config.methods, config.expansion_ks
+            ):
+                report, status = _measure(config, base, target, method_cfg, k)
+                rows.append(RunRow(
+                    f"s{base.seed}-{metric}-{end}-t{target}-{method_cfg.method}-k{k}",
+                    base.seed, metric, target, end, method_cfg.method, k,
+                    report, status,
+                ))
     return rows
+
+
+def _measure(
+    config: ExperimentConfig,
+    base: TrainedBase,
+    target: int,
+    method_cfg: unlearn.UnlearnConfig,
+    k: int,
+) -> tuple[UnlearnReport | None, str]:
+    """One row's report and status; a failed row has no report."""
+    n_train = base.plan.train_ids.size
+    if k >= n_train:
+        return None, f"error: k={k} exceeds training size {n_train}"
+    try:
+        report, _, _ = run_single(
+            base, target, method_cfg, k, config.epsilon,
+            config.mia_calibrate_on_original,
+        )
+    except (SteinUnlearnError, FloatingPointError) as exc:
+        return None, f"error: {exc}"
+    return report, "ok"
 
 
 def aggregate_rows(rows: list[RunRow]) -> list[dict]:
@@ -270,17 +262,8 @@ def write_reports_jsonl(rows: list[RunRow], path: str | Path) -> None:
     """One JSON object per run, in row order."""
     lines = []
     for row in rows:
-        obj = {
-            "run_id": row.run_id,
-            "seed": row.seed,
-            "metric": row.metric,
-            "target_id": row.target_id,
-            "easy_or_difficult": row.easy_or_difficult,
-            "method": row.method,
-            "k_expansion": row.k_expansion,
-            "status": row.status,
-            "report": row.report.to_json_dict() if row.report else None,
-        }
+        obj = {**vars(row),
+               "report": row.report.to_json_dict() if row.report else None}
         lines.append(json.dumps(obj, sort_keys=True))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 

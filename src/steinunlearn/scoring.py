@@ -173,21 +173,26 @@ def compute_metric(
     table: ScoreTable,
     kernel: SteinKernelMatrix,
     labels: np.ndarray,
+    msksd_scores: np.ndarray | None = None,
     entropy_floor: float = DEFAULT_ENTROPY_FLOOR,
-    msksd_global: bool = False,
 ) -> DifficultyRanking:
-    """Score-and-rank convenience wrapper used by the CLI pipelines."""
+    """Score and rank one metric for the CLI pipelines.
+
+    MSKSD and EMSKSD read `msksd_scores`, the caller's `msksd(kernel)`, so
+    a base that ranks both computes it once.
+    """
     if metric not in METRICS:
         raise ConfigurationError(f"unknown metric {metric!r}; choose from {METRICS}")
+    if metric in ("MSKSD", "EMSKSD") and msksd_scores is None:
+        raise ArgumentError(f"{metric} needs the MSKSD scores")
     if metric == "MKSD":
         scores = mksd(kernel)
     elif metric == "MSKSD":
-        scores = msksd(kernel, global_standardize=msksd_global)
+        scores = msksd_scores
     elif metric == "SSN":
         scores = ssn(table)
     elif metric == "EMSKSD":
-        scores = emsksd(msksd(kernel, global_standardize=msksd_global), table,
-                        entropy_floor)
+        scores = emsksd(msksd_scores, table, entropy_floor)
     else:
         scores = pc(table, labels)
     return rank(scores, METRIC_ORIENTATION[metric], table.sample_ids, metric)

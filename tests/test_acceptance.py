@@ -62,17 +62,16 @@ def protocol():
     retrain_block = {"method": "retrain", "lr": 0.1, "epochs": 400,
                      "batch_size": 32}
     bases = [experiment.train_base(cfg_ga, seed) for seed in cfg_ga.seeds]
-    # retrain shares each base's seed so the fresh init is a genuine re-run
-    rows_ga = experiment.run_experiment(cfg_ga, bases)
-    rows_rt = []
+    rows_ga, rows_rt = [], []
     for base in bases:
+        rows_ga.extend(experiment.run_base(cfg_ga, base))
+        # retrain shares the base's seed so the fresh init is a genuine re-run
         cfg_rt = dataclasses.replace(
             cfg_ga,
             methods=(unlearn.UnlearnConfig(**{**retrain_block, "seed": base.seed}),),
             expansion_ks=(0,),
-            seeds=(base.seed,),
         )
-        rows_rt.extend(experiment.run_experiment(cfg_rt, [base]))
+        rows_rt.extend(experiment.run_base(cfg_rt, base))
     elapsed = time.perf_counter() - t0
     assert all(r.status == "ok" for r in rows_ga + rows_rt)
     return {"bases": bases, "ga": rows_ga, "rt": rows_rt, "elapsed": elapsed,

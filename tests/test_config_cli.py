@@ -1,9 +1,12 @@
 """Config validation, canonicalization, CLI subcommands, pipeline behavior."""
 
+import csv
+import gc
 import json
 import math
 import re
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from steinunlearn import cli, diffnet, experiment
 from steinunlearn.config import ExperimentConfig, dump_config, load_config
 from steinunlearn.errors import ConfigurationError, NumericalError
+from steinunlearn.evaluation import REPORT_COLUMNS
 
 
 def mini_config_dict(**overrides):
@@ -294,6 +298,38 @@ class TestExperimentCommand:
         statuses = {line.rsplit(",", 1)[1] for line in lines[1:]}
         assert len(lines) == 11
         assert all(s.startswith("error: non-finite ") for s in statuses), statuses
+
+    def test_k_beyond_training_size_fails_its_rows(self, tmp_path):
+        cfg_path = write_config(tmp_path, expansion_ks=[0, 1000],
+                                output_dir=str(tmp_path / "out"))
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
+        with (tmp_path / "out" / "report.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 20
+        for row in rows:
+            if row["k_expansion"] == "0":
+                assert row["status"] == "ok"
+            else:
+                assert row["status"] == "error: k=1000 exceeds training size 72"
+                assert [row[c] for c in REPORT_COLUMNS[6:]] == [""] * 11
+
+    def test_each_base_is_freed_before_the_next_is_built(self, tmp_path,
+                                                         monkeypatch):
+        real = experiment.train_base
+        refs, alive_at_build = [], []
+
+        def tracking(config, seed):
+            gc.collect()
+            alive_at_build.append(sum(ref() is not None for ref in refs))
+            base = real(config, seed)
+            refs.extend([weakref.ref(base), weakref.ref(base.kernel)])
+            return base
+
+        monkeypatch.setattr(experiment, "train_base", tracking)
+        cfg_path = write_config(tmp_path, seeds=[0, 1, 2],
+                                output_dir=str(tmp_path / "out"))
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 0
+        assert alive_at_build == [0, 0, 0]
 
     def test_seed_override(self, tmp_path):
         cfg_path = write_config(tmp_path, seeds=[0, 1],

@@ -245,5 +245,5 @@ class TestTrain:
         trained = diffnet.train(
             model, ds.features, ds.labels, lr=0.05, epochs=200, batch_size=32, seed=0
         )
-        preds = diffnet.predict_probs(trained, ds.features).argmax(axis=1)
+        preds = diffnet.forward(trained, ds.features).probs.argmax(axis=1)
         assert (preds == ds.labels).mean() >= 0.95

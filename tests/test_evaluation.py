@@ -24,7 +24,7 @@ class TestAccuracy:
         model = diffnet.MlpModel(spec, np.array([-5.0, 5.0, 0.0, 0.0]), layout)
         X = np.array([[-1.0], [1.0], [2.0], [-3.0]])
         y = np.array([0, 1, 1, 0])
-        assert evaluation.accuracy(diffnet.predict_probs(model, X), y) == 1.0
+        assert evaluation.accuracy(diffnet.forward(model, X).probs, y) == 1.0
 
     def test_one_in_five(self):
         spec = diffnet.NetworkSpec((1, 2))
@@ -32,29 +32,29 @@ class TestAccuracy:
         model = diffnet.MlpModel(spec, np.array([5.0, -5.0, 0.0, 0.0]), layout)
         X = np.ones((5, 1))
         y = np.array([0, 1, 1, 1, 1])  # model always predicts 0
-        probs = diffnet.predict_probs(model, X)
+        probs = diffnet.forward(model, X).probs
         assert evaluation.accuracy(probs, y) == pytest.approx(0.2)
 
     def test_constant_logits_balanced_split(self):
         model = _zero_model((2, 4, 3))  # argmax ties -> always class 0
         X = np.random.default_rng(0).normal(size=(300, 2))
         y = np.tile(np.array([0, 1, 2]), 100)
-        probs = diffnet.predict_probs(model, X)
+        probs = diffnet.forward(model, X).probs
         assert evaluation.accuracy(probs, y) == pytest.approx(1.0 / 3)
 
     def test_error_fraction_complement(self, rng):
         model = random_model(rng, (2, 4, 3))
         X = rng.normal(size=(50, 2))
         y = rng.integers(0, 3, 50)
-        acc = evaluation.accuracy(diffnet.predict_probs(model, X), y)
-        preds = diffnet.predict_probs(model, X).argmax(axis=1)
+        acc = evaluation.accuracy(diffnet.forward(model, X).probs, y)
+        preds = diffnet.forward(model, X).probs.argmax(axis=1)
         err = float((preds != y).mean())
         assert acc + err == 1.0
 
     def test_empty_split_rejected(self, rng):
         model = random_model(rng, (2, 3))
         with pytest.raises(ArgumentError):
-            evaluation.accuracy(diffnet.predict_probs(model, np.empty((0, 2))),
+            evaluation.accuracy(diffnet.forward(model, np.empty((0, 2))).probs,
                                 np.empty(0, dtype=int))
 
 
@@ -134,7 +134,7 @@ class TestActivationDistance:
 
 def _mia_efficacy(model, forget, member_cal, nonmember_cal):
     def conf(X, y):
-        return diffnet.predict_probs(model, X)[np.arange(y.shape[0]), y]
+        return diffnet.forward(model, X).probs[np.arange(y.shape[0]), y]
 
     return evaluation.mia_efficacy(conf(*forget), conf(*member_cal),
                                    conf(*nonmember_cal))
@@ -195,7 +195,7 @@ class TestMiaEfficacy:
 class TestVerdict:
     def _splits(self, rng, model):
         X = rng.normal(size=(40, 1)) * 3
-        preds = diffnet.predict_probs(model, X).argmax(axis=1)
+        preds = diffnet.forward(model, X).probs.argmax(axis=1)
         return X, preds
 
     def test_unchanged_model_fails(self, rng):

@@ -2,7 +2,8 @@
 
 `diffnet.forward` is the only forward pass; every other diffnet function
 and every caller goes through it, so counting its calls counts passes.
-Likewise `data.gather` is the only way to read dataset rows.
+Likewise `data.gather` is the only way to read dataset rows, and one
+`scoring.msksd` vector serves both MSKSD and EMSKSD.
 """
 
 import sys
@@ -10,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from steinunlearn import data, diffnet, evaluation, experiment, unlearn
+from steinunlearn import data, diffnet, evaluation, experiment, scoring, unlearn
 from steinunlearn.config import ExperimentConfig
 from steinunlearn.data import gather, make_blobs, split
 
@@ -112,3 +113,20 @@ def test_score_base_runs_one_pass_and_one_gather(passes, gathers):
     assert passes == [base.plan.train_ids.size]
     assert len(gathers) == 1
     assert np.array_equal(gathers[0], base.plan.train_ids)
+
+
+def test_score_base_computes_msksd_once(monkeypatch):
+    config = ExperimentConfig.from_dict(
+        mini_config_dict(metrics=["MKSD", "MSKSD", "SSN", "EMSKSD", "PC"])
+    )
+    calls = []
+    real = scoring.msksd
+
+    def counting(m, global_standardize=False):
+        calls.append(m.n)
+        return real(m, global_standardize)
+
+    monkeypatch.setattr(scoring, "msksd", counting)
+    base = experiment.train_base(config, 0)
+    assert calls == [base.plan.train_ids.size]
+    assert set(base.rankings) == set(config.metrics)

@@ -1,12 +1,13 @@
 """Golden artifact digests: the behaviour gate for refactors.
 
 One small fixed `experiment` run covering all five metrics, all four
-methods and two expansion sizes, plus `score --kernel-csv` and `train` on
-the same config. Their artifacts must match the sha256 digests below byte
-for byte. A change that moves one of them either is a bug or names the
-change and its reason in CHANGES.md and records the new digest here. The
-digests were recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64;
-another numpy or BLAS build may round differently.
+methods and two expansion sizes, the same run over two seeds, plus
+`score --kernel-csv`, `train` and one `unlearn` on the same config. Their
+artifacts must match the sha256 digests below byte for byte. A change that
+moves one of them either is a bug or names the change and its reason in
+CHANGES.md and records the new digest here. The digests were recorded with
+numpy 2.4 and OpenBLAS 0.3.31 on x86-64; another numpy or BLAS build may
+round differently.
 """
 
 import hashlib
@@ -14,7 +15,7 @@ import json
 
 import pytest
 
-from steinunlearn import cli, stein
+from steinunlearn import cli, scoring, stein
 
 from test_config_cli import mini_config_dict
 
@@ -39,12 +40,29 @@ TRAIN_DIGESTS = {
     name: GOLDEN_DIGESTS[name] for name in ("model-s0.json", "trainlog-s0.csv")
 }
 
+# `experiment` on the same config with seeds [0, 1]; seed 0's files match the
+# one-seed run.
+TWO_SEED_DIGESTS = {
+    "report.csv": "80aa05587d1b952a9f1fa4dfd9ee55db3b01c92bfc1b722255798c06294fc774",
+    "reports.jsonl": "fb864f0e2d45a35156a70fb7bbf63134d4ff7d367f2034aac82e935d76fd4503",
+    "aggregate.csv": "bb17cd5d33d86cfb6b08dda1f52e461be6130e21ff8aeb92ef1069d6a2964d52",
+    "config.json": "856940a432171c3aa924fef78b1482be9e73eda4d748ff7b5b202d469d612c95",
+    "rankings-s0.csv": GOLDEN_DIGESTS["rankings-s0.csv"],
+    "model-s0.json": GOLDEN_DIGESTS["model-s0.json"],
+    "trainlog-s0.csv": GOLDEN_DIGESTS["trainlog-s0.csv"],
+    "rankings-s1.csv": "7e29dc32112fabb8ef97a679b0645738ed249d5281640d068410297de9dc9946",
+    "model-s1.json": "c6f088ff5553bebe01e5b80d0c2b7c52475818a1cc322969148221ea9cc30967",
+    "trainlog-s1.csv": "9f67473e5d3eda82d90f12e1af797b352c9142d0fca8fb775a74cc160d92a624",
+}
 
-@pytest.fixture
-def golden_config(tmp_path, monkeypatch):
-    """Write the golden config to cfg.json in a fresh working directory."""
-    # output_dir is recorded in config.json, so it stays the relative "out"
-    monkeypatch.chdir(tmp_path)
+# `unlearn --method grad_ascent --target 3 --k 2` on the same config.
+UNLEARN_DIGESTS = {
+    "unlearned-s0-grad_ascent-t3-k2.json":
+        "8ed78164dd9551c3b45a6a9fa84237bc68a6210df0c4497cf6745f59e6642acb",
+}
+
+
+def _write_config(directory, **overrides):
     cfg = mini_config_dict(
         metrics=["MKSD", "MSKSD", "SSN", "EMSKSD", "PC"],
         methods=[
@@ -55,8 +73,17 @@ def golden_config(tmp_path, monkeypatch):
             {"method": "retrain", "lr": 0.05, "epochs": 30, "batch_size": 16},
         ],
         expansion_ks=[0, 2],
+        **overrides,
     )
-    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    (directory / "cfg.json").write_text(json.dumps(cfg))
+
+
+@pytest.fixture
+def golden_config(tmp_path, monkeypatch):
+    """Write the golden config to cfg.json in a fresh working directory."""
+    # output_dir is recorded in config.json, so it stays the relative "out"
+    monkeypatch.chdir(tmp_path)
+    _write_config(tmp_path)
     return tmp_path
 
 
@@ -82,3 +109,19 @@ def test_train_builds_no_stein_kernel(golden_config, monkeypatch):
     monkeypatch.setattr(stein, "stein_kernel_matrix", refuse)
     assert cli.main(["train", "--config", "cfg.json"]) == 0
     assert _digests(golden_config / "out", TRAIN_DIGESTS) == TRAIN_DIGESTS
+
+
+def test_two_seed_experiment_artifacts_match_golden_digests(golden_config):
+    _write_config(golden_config, seeds=[0, 1])
+    assert cli.main(["experiment", "--config", "cfg.json"]) == 0
+    assert _digests(golden_config / "out", TWO_SEED_DIGESTS) == TWO_SEED_DIGESTS
+
+
+def test_unlearn_ranks_no_metric(golden_config, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("unlearn ranked a metric")
+
+    monkeypatch.setattr(scoring, "compute_metric", refuse)
+    assert cli.main(["unlearn", "--config", "cfg.json", "--method", "grad_ascent",
+                     "--target", "3", "--k", "2"]) == 0
+    assert _digests(golden_config / "out", UNLEARN_DIGESTS) == UNLEARN_DIGESTS

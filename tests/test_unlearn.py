@@ -141,13 +141,13 @@ class TestFineTune:
         moved = plan.with_forget(plan.train_ids[:1])
         X, y = ds.features[moved.retain_ids], ds.labels[moved.retain_ids]
         before = float(
-            (diffnet.predict_probs(model, X).argmax(1) == y).mean()
+            (diffnet.forward(model, X).probs.argmax(1) == y).mean()
         )
         cfg = unlearn.UnlearnConfig(method="fine_tune", lr=0.05, epochs=5,
                                     batch_size=16, seed=1)
         out = unlearn.fine_tune(model, ds, moved.retain_ids, cfg)
         after = float(
-            (diffnet.predict_probs(out.unlearned, X).argmax(1) == y).mean()
+            (diffnet.forward(out.unlearned, X).probs.argmax(1) == y).mean()
         )
         assert after >= before - 0.02
 
