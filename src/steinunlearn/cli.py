@@ -1,8 +1,10 @@
 """Command-line entry points.
 
 Subcommands: train, score, rank, unlearn, evaluate, experiment. Exit codes:
-0 full success, 1 configuration or IO failure, 2 when some experiment rows
-failed but the run completed.
+0 full success, 1 usage, configuration or IO failure, 2 when some experiment
+rows failed but the run completed. A command that loops over seeds runs each
+seed in its own `_*_seed` call, so that seed's base and n x n kernel are
+freed before the next seed's base is built.
 """
 
 from __future__ import annotations
@@ -24,6 +26,14 @@ from .evaluation import verdict
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_PARTIAL = 2
+
+# Config overrides and their argparse options; each subcommand takes the ones it reads.
+OVERRIDES = {
+    "--out": {"help": "output directory (overrides config)"},
+    "--seed": {"type": int, "help": "single seed (overrides config)"},
+    "--metrics": {"help": "comma-separated metric override"},
+    "--methods": {"help": "comma-separated method override"},
+}
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
@@ -73,30 +83,41 @@ def cmd_score(config: ExperimentConfig, model_path: str | None,
               kernel_csv: bool) -> int:
     out = _out_dir(config)
     for seed in config.seeds:
-        if model_path:
-            ds = config.dataset.build(seed)
-            plan = split(ds, config.test_fraction, seed)
-            model = exp.read_model_json(model_path)
-            base = exp.score_base(config, seed, ds, plan, model, [])
-        else:
-            base = exp.train_base(config, seed)
-        path = out / f"rankings-s{seed}.csv"
-        scoring.rankings_to_csv([base.rankings[m] for m in config.metrics], path)
-        if kernel_csv:
-            stein.kernel_matrix_to_csv(base.kernel, out / f"kernel-s{seed}.csv")
-        print(f"seed {seed}: wrote {path}")
+        _score_seed(config, seed, model_path, kernel_csv, out)
     return EXIT_OK
+
+
+def _score_seed(config: ExperimentConfig, seed: int, model_path: str | None,
+                kernel_csv: bool, out: Path) -> None:
+    """Score one seed's base and write its rankings (and kernel)."""
+    if model_path:
+        ds = config.dataset.build(seed)
+        plan = split(ds, config.test_fraction, seed)
+        model = exp.read_model_json(model_path)
+        base = exp.score_base(config, seed, ds, plan, model, [])
+    else:
+        base = exp.train_base(config, seed)
+    path = out / f"rankings-s{seed}.csv"
+    scoring.rankings_to_csv([base.rankings[m] for m in config.metrics], path)
+    if kernel_csv:
+        stein.kernel_matrix_to_csv(base.kernel, out / f"kernel-s{seed}.csv")
+    print(f"seed {seed}: wrote {path}")
 
 
 def cmd_rank(config: ExperimentConfig) -> int:
     for seed in config.seeds:
-        base = exp.train_base(config, seed)
-        for metric in config.metrics:
-            targets = exp.select_targets(base.rankings[metric], config.top_k_each_end)
-            easy = ",".join(str(int(i)) for i in targets[exp.EASY])
-            hard = ",".join(str(int(i)) for i in targets[exp.DIFFICULT])
-            print(f"seed {seed} {metric}: easiest=[{easy}] most_difficult=[{hard}]")
+        _rank_seed(config, seed)
     return EXIT_OK
+
+
+def _rank_seed(config: ExperimentConfig, seed: int) -> None:
+    """Print one seed's top-k easiest and most difficult ids per metric."""
+    base = exp.train_base(config, seed)
+    for metric in config.metrics:
+        targets = exp.select_targets(base.rankings[metric], config.top_k_each_end)
+        easy = ",".join(str(int(i)) for i in targets[exp.EASY])
+        hard = ",".join(str(int(i)) for i in targets[exp.DIFFICULT])
+        print(f"seed {seed} {metric}: easiest=[{easy}] most_difficult=[{hard}]")
 
 
 def cmd_unlearn(config: ExperimentConfig, method: str, target: int, k: int) -> int:
@@ -181,11 +202,7 @@ def cmd_experiment(config: ExperimentConfig) -> int:
 def _experiment_seed(
     config: ExperimentConfig, seed: int, out: Path
 ) -> list[exp.RunRow]:
-    """Build one seed's base, write its files and run its rows.
-
-    The base, with its n x n kernel, lives only in this frame, so it is
-    freed before the next seed's base is built.
-    """
+    """Build one seed's base, write its files and run its rows."""
     base = exp.train_base(config, seed)
     exp.write_model_json(base.model, out / f"model-s{seed}.json")
     exp.write_train_log_csv(base.train_log, out / f"trainlog-s{seed}.csv")
@@ -203,44 +220,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, summary: str, *overrides: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="JSON experiment config")
-        p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, help="single seed (overrides config)")
-        p.add_argument("--metrics", help="comma-separated metric override")
-        p.add_argument("--methods", help="comma-separated method override")
+        for flag in overrides:
+            p.add_argument(flag, **OVERRIDES[flag])
+        return p
 
-    common(sub.add_parser("train", help="train the base model per seed"))
+    command("train", "train the base model per seed", "--out", "--seed")
 
-    p_score = sub.add_parser("score", help="write per-sample difficulty rankings")
-    common(p_score)
+    p_score = command("score", "write per-sample difficulty rankings",
+                      "--out", "--seed", "--metrics")
     p_score.add_argument("--model", help="score an existing model file instead")
     p_score.add_argument("--kernel-csv", action="store_true",
                          help="also dump the Stein kernel matrix")
 
-    common(sub.add_parser("rank", help="print top-k easiest/most difficult ids"))
+    command("rank", "print top-k easiest/most difficult ids", "--seed", "--metrics")
 
-    p_unlearn = sub.add_parser("unlearn", help="unlearn one target sample")
-    common(p_unlearn)
+    p_unlearn = command("unlearn", "unlearn one target sample", "--out", "--seed")
     p_unlearn.add_argument("--method", required=True, choices=unlearn.METHODS)
     p_unlearn.add_argument("--target", required=True, type=int)
     p_unlearn.add_argument("--k", type=int, default=0,
                            help="expansion size (similar samples to include)")
 
-    p_eval = sub.add_parser("evaluate", help="evaluate an unlearned model file")
-    common(p_eval)
+    p_eval = command("evaluate", "evaluate an unlearned model file", "--out", "--seed")
     p_eval.add_argument("--original", required=True, help="original model JSON")
     p_eval.add_argument("--unlearned", required=True, help="unlearned model JSON")
     p_eval.add_argument("--targets", required=True,
                         help="comma-separated forget sample ids")
 
-    common(sub.add_parser("experiment", help="full train/score/unlearn/evaluate run"))
+    command("experiment", "full train/score/unlearn/evaluate run", *OVERRIDES)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 here means failed rows
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         config = _apply_overrides(load_config(args.config), args)
         if args.command == "train":

@@ -61,10 +61,6 @@ class LabeledDataset:
     def n(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
 
 def gather(ds: LabeledDataset, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows for the given sample ids, recording the access when a log is attached."""

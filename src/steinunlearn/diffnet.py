@@ -8,6 +8,7 @@ models can be compared, perturbed, and serialized coordinate-wise.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +56,10 @@ class NetworkSpec:
         """Number of weight layers (linear maps), not counting the input."""
         return len(self.layer_sizes) - 1
 
+    @functools.cached_property
+    def layout(self) -> "ParamLayout":
+        return build_layout(self)
+
 
 @dataclass(frozen=True)
 class ParamLayout:
@@ -91,9 +96,10 @@ class MlpModel:
 
     spec: NetworkSpec
     params: np.ndarray
-    layout: ParamLayout = field(repr=False)
+    layout: ParamLayout = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.layout = self.spec.layout
         self.params = np.asarray(self.params, dtype=np.float64)
         if self.params.ndim != 1 or self.params.shape[0] != self.layout.n_params:
             raise ShapeError(
@@ -111,7 +117,7 @@ class MlpModel:
         return self.params[lo:hi]
 
     def with_params(self, params: np.ndarray) -> "MlpModel":
-        return MlpModel(self.spec, np.asarray(params, dtype=np.float64), self.layout)
+        return MlpModel(self.spec, params)
 
     def copy(self) -> "MlpModel":
         return self.with_params(self.params.copy())
@@ -150,7 +156,7 @@ class ForwardTrace:
 
 def init_network(spec: NetworkSpec, seed: int) -> MlpModel:
     """Glorot-uniform weights, zero biases, deterministic for a fixed seed."""
-    layout = build_layout(spec)
+    layout = spec.layout
     rng = np.random.default_rng(seed)
     params = np.zeros(layout.n_params)
     for layer, ((lo, hi), (fan_out, fan_in)) in enumerate(
@@ -158,7 +164,7 @@ def init_network(spec: NetworkSpec, seed: int) -> MlpModel:
     ):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         params[lo:hi] = rng.uniform(-bound, bound, size=hi - lo)
-    return MlpModel(spec, params, layout)
+    return MlpModel(spec, params)
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -212,11 +218,6 @@ def _check_labels(y: np.ndarray, n_classes: int, n: int) -> np.ndarray:
         raise LabelError(f"labels must lie in [0, {n_classes}), got range "
                          f"[{y.min()}, {y.max()}]")
     return y
-
-
-def mean_nll(model: MlpModel, X: np.ndarray, y: np.ndarray) -> float:
-    """Mean cross-entropy loss over a batch."""
-    return float(forward(model, X).nll(y).mean())
 
 
 def _backprop(

@@ -18,8 +18,6 @@ from . import diffnet
 from .errors import ArgumentError, ComparisonError, NumericalError
 from .unlearn import UnlearnOutcome
 
-DEFAULT_EPSILON = 0.05
-
 REPORT_COLUMNS = (
     "run_id", "metric", "target_id", "easy_or_difficult", "method", "k_expansion",
     "forget_acc", "retain_acc", "test_acc", "forget_loss", "retain_loss",
@@ -60,9 +58,6 @@ class UnlearnReport:
             for v in value if isinstance(value, list) else (value,):
                 if not math.isfinite(v):
                     raise NumericalError(f"non-finite {name}")
-
-    def to_json_dict(self) -> dict:
-        return dict(vars(self))
 
 
 def accuracy(probs: np.ndarray, y: np.ndarray) -> float:
@@ -136,7 +131,7 @@ def verdict(
     forget: tuple[np.ndarray, np.ndarray],
     retain: tuple[np.ndarray, np.ndarray],
     test: tuple[np.ndarray, np.ndarray],
-    epsilon: float = DEFAULT_EPSILON,
+    epsilon: float,
     calibrate_on_original: bool = False,
 ) -> UnlearnReport:
     """Full measurement report plus the success flag.

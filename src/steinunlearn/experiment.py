@@ -29,6 +29,14 @@ DIFFICULT = "difficult"
 
 REPORT_CSV_COLUMNS = REPORT_COLUMNS + ("status",)
 
+# aggregate.csv groups rows by AGGREGATE_KEY and averages the report fields
+# AGGREGATE_MEANS, in column order.
+AGGREGATE_KEY = ("metric", "easy_or_difficult", "method", "k_expansion")
+AGGREGATE_MEANS = (
+    "forget_acc", "retain_acc", "test_acc", "forget_loss", "test_loss",
+    "mia_efficacy", "total_param_distance",
+)
+
 # Indirection point for the four unlearning procedures; tests may patch
 # entries to inject failures.
 METHOD_RUNNERS = {
@@ -217,37 +225,21 @@ def _measure(
 
 def aggregate_rows(rows: list[RunRow]) -> list[dict]:
     """Mean outcome per (metric, end, method, k) over all successful runs."""
-    groups: dict[tuple, list[UnlearnReport]] = {}
-    order: list[tuple] = []
+    groups: dict[tuple, list[UnlearnReport]] = {}  # in first-seen order
     for row in rows:
-        if row.report is None:
-            continue
-        key = (row.metric, row.easy_or_difficult, row.method, row.k_expansion)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row.report)
-    out = []
-    for key in order:
-        reports = groups[key]
-        out.append({
-            "metric": key[0],
-            "easy_or_difficult": key[1],
-            "method": key[2],
-            "k_expansion": key[3],
+        if row.report is not None:
+            key = tuple(getattr(row, c) for c in AGGREGATE_KEY)
+            groups.setdefault(key, []).append(row.report)
+    return [
+        {
+            **dict(zip(AGGREGATE_KEY, key)),
             "n_runs": len(reports),
-            "mean_forget_acc": float(np.mean([r.forget_acc for r in reports])),
-            "mean_retain_acc": float(np.mean([r.retain_acc for r in reports])),
-            "mean_test_acc": float(np.mean([r.test_acc for r in reports])),
-            "mean_forget_loss": float(np.mean([r.forget_loss for r in reports])),
-            "mean_test_loss": float(np.mean([r.test_loss for r in reports])),
-            "mean_mia_efficacy": float(np.mean([r.mia_efficacy for r in reports])),
-            "mean_total_param_distance": float(
-                np.mean([r.total_param_distance for r in reports])
-            ),
+            **{f"mean_{name}": float(np.mean([getattr(r, name) for r in reports]))
+               for name in AGGREGATE_MEANS},
             "success_rate": float(np.mean([r.success for r in reports])),
-        })
-    return out
+        }
+        for key, reports in groups.items()
+    ]
 
 
 def write_report_csv(rows: list[RunRow], path: str | Path) -> None:
@@ -263,7 +255,7 @@ def write_reports_jsonl(rows: list[RunRow], path: str | Path) -> None:
     lines = []
     for row in rows:
         obj = {**vars(row),
-               "report": row.report.to_json_dict() if row.report else None}
+               "report": vars(row.report) if row.report else None}
         lines.append(json.dumps(obj, sort_keys=True))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
@@ -321,6 +313,6 @@ def read_model_json(path: str | Path) -> diffnet.MlpModel:
         raise DataError(f"{path}: layer_sizes: expected a list of integers") from exc
     try:
         params = np.asarray(obj["params"], dtype=np.float64)
-        return diffnet.MlpModel(spec, params, diffnet.build_layout(spec))
+        return diffnet.MlpModel(spec, params)
     except (TypeError, ValueError, NumericalError) as exc:
         raise DataError(f"{path}: params: {exc}") from exc

@@ -40,7 +40,6 @@ class DifficultyRanking:
     metric: str
     scores: np.ndarray
     easy_to_hard: np.ndarray
-    orientation: str
     sample_ids: np.ndarray
 
     def __post_init__(self) -> None:
@@ -163,7 +162,6 @@ def rank(
         metric=metric,
         scores=scores,
         easy_to_hard=sample_ids[order],
-        orientation=orientation,
         sample_ids=sample_ids,
     )
 

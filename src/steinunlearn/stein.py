@@ -54,10 +54,9 @@ class ScoreTable:
 
 @dataclass
 class SteinKernelMatrix:
-    """Symmetric matrix of Stein kernel values with its bandwidth."""
+    """Symmetric matrix of Stein kernel values over sample ids."""
 
     values: np.ndarray
-    bandwidth: float
     sample_ids: np.ndarray
 
     def __post_init__(self) -> None:
@@ -135,10 +134,6 @@ def stein_kernel_matrix(
         sample_ids = np.arange(n)
 
     h2 = h * h
-    if n == 1:
-        vals = np.array([[float(S[0] @ S[0]) + d / h2]])
-        return SteinKernelMatrix(vals, h, sample_ids)
-
     r2 = squareform(pdist(X, "sqeuclidean"))
     k = np.exp(-r2 / (2.0 * h2))
     ss = S @ S.T
@@ -150,7 +145,7 @@ def stein_kernel_matrix(
     vals = np.triu(vals, 1)
     vals = vals + vals.T
     np.fill_diagonal(vals, np.einsum("ij,ij->i", S, S) + d / h2)
-    return SteinKernelMatrix(vals, h, sample_ids)
+    return SteinKernelMatrix(vals, sample_ids)
 
 
 def ksd_statistic(m: SteinKernelMatrix, mode: str = "u_stat") -> float:

@@ -18,9 +18,8 @@ def rel_close(a, b, rtol, floor=1.0):
 def random_model(rng, sizes, activation="tanh"):
     """Model with parameters drawn uniformly in [-1, 1]."""
     spec = diffnet.NetworkSpec(tuple(sizes), activation)
-    layout = diffnet.build_layout(spec)
-    params = rng.uniform(-1.0, 1.0, layout.n_params)
-    return diffnet.MlpModel(spec, params, layout)
+    params = rng.uniform(-1.0, 1.0, spec.layout.n_params)
+    return diffnet.MlpModel(spec, params)
 
 
 def fd_grad_params(model, X, y, h=1e-5):
@@ -32,8 +31,8 @@ def fd_grad_params(model, X, y, h=1e-5):
         minus = model.params.copy()
         minus[i] -= h
         grad[i] = (
-            diffnet.mean_nll(model.with_params(plus), X, y)
-            - diffnet.mean_nll(model.with_params(minus), X, y)
+            diffnet.forward(model.with_params(plus), X).nll(y).mean()
+            - diffnet.forward(model.with_params(minus), X).nll(y).mean()
         ) / (2 * h)
     return grad
 

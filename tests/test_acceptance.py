@@ -180,7 +180,7 @@ def test_criterion_04_scoring_brute_force_oracle():
         [0.2, 0.5, 0.3], [0.9, 0.05, 0.05], [1.0 / 3, 1.0 / 3, 1.0 / 3],
     ])
     labels = np.array([1, 0, 2])
-    m = stein.SteinKernelMatrix(values, 1.0, np.arange(3))
+    m = stein.SteinKernelMatrix(values, np.arange(3))
     table = stein.ScoreTable(np.zeros((3, 2)), norms, probs, np.arange(3))
 
     mp.mp.dps = 50

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from steinunlearn import cli, diffnet, experiment
 from steinunlearn.config import ExperimentConfig, dump_config, load_config
+from steinunlearn.data import split
 from steinunlearn.errors import ConfigurationError, NumericalError
 from steinunlearn.evaluation import REPORT_COLUMNS
 
@@ -328,8 +329,11 @@ class TestExperimentCommand:
         monkeypatch.setattr(experiment, "train_base", tracking)
         cfg_path = write_config(tmp_path, seeds=[0, 1, 2],
                                 output_dir=str(tmp_path / "out"))
-        assert cli.main(["experiment", "--config", str(cfg_path)]) == 0
-        assert alive_at_build == [0, 0, 0]
+        for command in ("experiment", "score", "rank"):
+            refs.clear()
+            alive_at_build.clear()
+            assert cli.main([command, "--config", str(cfg_path)]) == 0
+            assert alive_at_build == [0, 0, 0], command
 
     def test_seed_override(self, tmp_path):
         cfg_path = write_config(tmp_path, seeds=[0, 1],
@@ -416,6 +420,125 @@ class TestBadCommandInput:
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert str(bad) in err and re.search(match, err), err
+
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["rank", "--bogus"], id="unknown-flag"),
+        pytest.param(["unlearn", "--target", "3"], id="missing-required-flag"),
+        pytest.param(["unlearn", "--method", "nope", "--target", "3"],
+                     id="bad-choice"),
+        pytest.param(["train", "--seed", "one"], id="bad-type"),
+        pytest.param([], id="missing-command"),
+    ])
+    def test_usage_error_exits_1(self, tmp_path, capsys, argv):
+        cfg_path = write_config(tmp_path, output_dir=str(tmp_path / "out"))
+        assert cli.main([*argv, "--config", str(cfg_path)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["rank", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        assert cli.main(argv) == 0
+        assert "usage:" in capsys.readouterr().out
+
+
+# The overrides each subcommand reads, and a value for each override.
+ACCEPTED_OVERRIDES = {
+    "train": ("--out", "--seed"),
+    "score": ("--out", "--seed", "--metrics"),
+    "rank": ("--seed", "--metrics"),
+    "unlearn": ("--out", "--seed"),
+    "evaluate": ("--out", "--seed"),
+    "experiment": ("--out", "--seed", "--metrics", "--methods"),
+}
+OVERRIDE_VALUES = {"--out": "flag-out", "--seed": "1", "--metrics": "PC",
+                   "--methods": "fisher"}
+UNREAD_OVERRIDES = [(command, flag) for command, flags in ACCEPTED_OVERRIDES.items()
+                    for flag in OVERRIDE_VALUES if flag not in flags]
+
+
+@pytest.fixture
+def override_dir(tmp_path, monkeypatch):
+    """A two-seed, two-metric, two-method config in cfg.json, a model file,
+    and a target that is a training sample of both seeds."""
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(
+        tmp_path, seeds=[0, 1], metrics=["EMSKSD", "PC"], top_k_each_end=1,
+        methods=[*_MINI["methods"], {"method": "fisher", "alpha": 1e-5}],
+        output_dir="cfg-out",
+    )
+    experiment.write_model_json(
+        diffnet.init_network(diffnet.NetworkSpec((2, 8, 3)), 0),
+        tmp_path / "model.json",
+    )
+    config = load_config(cfg_path)
+    train_ids = [
+        set(split(config.dataset.build(seed), config.test_fraction, seed)
+            .train_ids.tolist())
+        for seed in config.seeds
+    ]
+    return tmp_path, min(set.intersection(*train_ids))
+
+
+def _command_argv(command, target):
+    extra = {
+        "unlearn": ["--method", "grad_ascent", "--target", str(target)],
+        "evaluate": ["--original", "model.json", "--unlearned", "model.json",
+                     "--targets", str(target)],
+    }.get(command, [])
+    return [command, "--config", "cfg.json", *extra]
+
+
+def _csv_column(path, column):
+    with path.open(newline="") as fh:
+        return {row[column] for row in csv.DictReader(fh)}
+
+
+class TestOverrides:
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in ACCEPTED_OVERRIDES.items()
+        for flag in flags
+    ])
+    def test_override_takes_effect(self, override_dir, capsys, command, flag):
+        root, target = override_dir
+        argv = [*_command_argv(command, target), flag, OVERRIDE_VALUES[flag]]
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out.strip().split("\n")
+        written = [p.relative_to(root) for p in root.rglob("*") if p.is_file()
+                   and p.name not in ("cfg.json", "model.json")]
+        if flag == "--out":
+            assert written
+            assert all(p.parts[0] == "flag-out" for p in written), written
+        elif flag == "--seed" and command == "rank":
+            assert len(printed) == 2  # one line per metric
+            assert all(line.startswith("seed 1 ") for line in printed), printed
+        elif flag == "--seed" and command == "evaluate":
+            row = json.loads((root / "cfg-out" / "evaluate.jsonl").read_text())
+            assert (row["seed"], row["run_id"]) == (1, "s1-evaluate")
+        elif flag == "--seed":
+            seeded = [p.name for p in written if re.search(r"-s\d", p.name)]
+            assert seeded
+            assert all("-s1" in name for name in seeded), seeded
+        elif flag == "--metrics" and command == "rank":
+            assert len(printed) == 2  # one line per seed
+            assert all(" PC: " in line for line in printed), printed
+        elif flag == "--metrics" and command == "score":
+            for seed in (0, 1):
+                path = root / "cfg-out" / f"rankings-s{seed}.csv"
+                assert _csv_column(path, "metric") == {"PC"}
+        elif flag == "--metrics":
+            assert _csv_column(root / "cfg-out" / "report.csv", "metric") == {"PC"}
+        else:
+            assert _csv_column(root / "cfg-out" / "report.csv", "method") == {"fisher"}
+
+    @pytest.mark.parametrize("command, flag", UNREAD_OVERRIDES)
+    def test_unread_override_is_a_usage_error(self, override_dir, capsys,
+                                              command, flag):
+        root, target = override_dir
+        argv = [*_command_argv(command, target), flag, OVERRIDE_VALUES[flag]]
+        assert cli.main(argv) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (root / "cfg-out").exists()
 
 
 class TestFiniteOrFailed:

@@ -105,7 +105,7 @@ class TestLoadIdx:
         labels = np.array([0, 1, 2], dtype=np.uint8)
         img_path, lab_path = _write_idx_pair(tmp_path, images, labels)
         ds = data.load_idx(img_path, lab_path)
-        assert ds.dim == 784
+        assert ds.features.shape == (3, 784)
         assert np.all(ds.features[0] == 0.0)
         assert np.all(ds.features[1] == 1.0)
 

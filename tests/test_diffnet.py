@@ -61,17 +61,15 @@ class TestInit:
 class TestForward:
     def test_zero_params_uniform_probs(self):
         spec = diffnet.NetworkSpec((2, 4, 3))
-        layout = diffnet.build_layout(spec)
-        model = diffnet.MlpModel(spec, np.zeros(layout.n_params), layout)
+        model = diffnet.MlpModel(spec, np.zeros(spec.layout.n_params))
         trace = diffnet.forward(model, np.array([3.0, -1.0])[None])
         assert np.allclose(trace.probs, 1.0 / 3.0)
 
     def test_stable_softmax_no_overflow(self):
         # linear net producing logits (1000, 0)
         spec = diffnet.NetworkSpec((1, 2))
-        layout = diffnet.build_layout(spec)
         params = np.array([1000.0, 0.0, 0.0, 0.0])  # W=[[1000],[0]], b=0
-        model = diffnet.MlpModel(spec, params, layout)
+        model = diffnet.MlpModel(spec, params)
         probs = diffnet.forward(model, np.array([1.0])[None]).probs[0]
         assert np.all(np.isfinite(probs))
         assert probs[0] == pytest.approx(1.0)
@@ -95,23 +93,20 @@ class TestForward:
 class TestNllLoss:
     def test_uniform_probs(self):
         spec = diffnet.NetworkSpec((2, 4))
-        layout = diffnet.build_layout(spec)
-        model = diffnet.MlpModel(spec, np.zeros(layout.n_params), layout)
+        model = diffnet.MlpModel(spec, np.zeros(spec.layout.n_params))
         trace = diffnet.forward(model, np.array([1.0, 2.0])[None])
         assert trace.nll([2])[0] == pytest.approx(np.log(4.0), rel=1e-12)
 
     def test_confident_prediction_near_zero(self):
         spec = diffnet.NetworkSpec((1, 2))
-        layout = diffnet.build_layout(spec)
-        model = diffnet.MlpModel(spec, np.array([50.0, -50.0, 0.0, 0.0]), layout)
+        model = diffnet.MlpModel(spec, np.array([50.0, -50.0, 0.0, 0.0]))
         trace = diffnet.forward(model, np.array([1.0])[None])
         assert trace.nll([0])[0] < 1e-20
 
     def test_two_class_scalar_value(self):
         # logits (2, 0), y=0 -> log(1 + e^-2)
         spec = diffnet.NetworkSpec((1, 2))
-        layout = diffnet.build_layout(spec)
-        model = diffnet.MlpModel(spec, np.array([2.0, 0.0, 0.0, 0.0]), layout)
+        model = diffnet.MlpModel(spec, np.array([2.0, 0.0, 0.0, 0.0]))
         trace = diffnet.forward(model, np.array([1.0])[None])
         assert trace.nll([0])[0] == pytest.approx(
             0.12692801104297249, rel=1e-12
@@ -139,8 +134,7 @@ class TestGradParams:
     def test_zero_gradient_at_certainty(self):
         # logits so extreme that probs[y] == 1.0 in float64
         spec = diffnet.NetworkSpec((1, 2))
-        layout = diffnet.build_layout(spec)
-        model = diffnet.MlpModel(spec, np.array([800.0, 0.0, 0.0, 0.0]), layout)
+        model = diffnet.MlpModel(spec, np.array([800.0, 0.0, 0.0, 0.0]))
         g = diffnet.grad_params(model, np.array([[1.0]]), np.array([0]))
         assert np.all(g == 0.0)
 
@@ -176,9 +170,8 @@ class TestGradInput:
     def test_linear_model_analytic(self, rng):
         # no hidden layer: grad of log p(y|x) w.r.t. x is (e_y - probs) @ W
         spec = diffnet.NetworkSpec((3, 4))
-        layout = diffnet.build_layout(spec)
-        params = rng.uniform(-1, 1, layout.n_params)
-        model = diffnet.MlpModel(spec, params, layout)
+        params = rng.uniform(-1, 1, spec.layout.n_params)
+        model = diffnet.MlpModel(spec, params)
         x = rng.normal(size=3)
         y = 2
         trace = diffnet.forward(model, x[None])
@@ -190,8 +183,7 @@ class TestGradInput:
 
     def test_zero_at_certainty(self):
         spec = diffnet.NetworkSpec((1, 2))
-        layout = diffnet.build_layout(spec)
-        model = diffnet.MlpModel(spec, np.array([800.0, 0.0, 0.0, 0.0]), layout)
+        model = diffnet.MlpModel(spec, np.array([800.0, 0.0, 0.0, 0.0]))
         scores = diffnet.per_sample_scores(model, np.array([[1.0]]), [0])[0]
         assert np.all(scores[0] == 0.0)
 
@@ -232,10 +224,10 @@ class TestTrain:
             model = random_model(rng, (2, 4, 3), activation="tanh")
             x = rng.uniform(-1, 1, (1, 2))
             y = np.array([int(rng.integers(3))])
-            before = diffnet.mean_nll(model, x, y)
+            before = diffnet.forward(model, x).nll(y).mean()
             g = diffnet.grad_params(model, x, y)
             stepped = model.with_params(model.params - 1e-4 * g)
-            after = diffnet.mean_nll(stepped, x, y)
+            after = diffnet.forward(stepped, x).nll(y).mean()
             assert after < before, f"trial {trial}"
 
     def test_separable_blobs_reach_train_accuracy(self):

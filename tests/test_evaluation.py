@@ -12,24 +12,21 @@ from conftest import random_model
 
 def _zero_model(sizes):
     spec = diffnet.NetworkSpec(tuple(sizes))
-    layout = diffnet.build_layout(spec)
-    return diffnet.MlpModel(spec, np.zeros(layout.n_params), layout)
+    return diffnet.MlpModel(spec, np.zeros(spec.layout.n_params))
 
 
 class TestAccuracy:
     def test_perfect_predictions(self):
         # identity-ish linear model: class = sign of feature
         spec = diffnet.NetworkSpec((1, 2))
-        layout = diffnet.build_layout(spec)
-        model = diffnet.MlpModel(spec, np.array([-5.0, 5.0, 0.0, 0.0]), layout)
+        model = diffnet.MlpModel(spec, np.array([-5.0, 5.0, 0.0, 0.0]))
         X = np.array([[-1.0], [1.0], [2.0], [-3.0]])
         y = np.array([0, 1, 1, 0])
         assert evaluation.accuracy(diffnet.forward(model, X).probs, y) == 1.0
 
     def test_one_in_five(self):
         spec = diffnet.NetworkSpec((1, 2))
-        layout = diffnet.build_layout(spec)
-        model = diffnet.MlpModel(spec, np.array([5.0, -5.0, 0.0, 0.0]), layout)
+        model = diffnet.MlpModel(spec, np.array([5.0, -5.0, 0.0, 0.0]))
         X = np.ones((5, 1))
         y = np.array([0, 1, 1, 1, 1])  # model always predicts 0
         probs = diffnet.forward(model, X).probs
@@ -143,8 +140,7 @@ def _mia_efficacy(model, forget, member_cal, nonmember_cal):
 def _linear_conf_model(weight):
     """1 feature, 2 classes: confidence in class 0 rises with weight * x."""
     spec = diffnet.NetworkSpec((1, 2))
-    layout = diffnet.build_layout(spec)
-    return diffnet.MlpModel(spec, np.array([weight, -weight, 0.0, 0.0]), layout)
+    return diffnet.MlpModel(spec, np.array([weight, -weight, 0.0, 0.0]))
 
 
 class TestMiaEfficacy:

@@ -72,6 +72,7 @@ def test_verdict_runs_one_pass_per_model_and_split(blobs, passes,
         forget=gather(ds, plan.forget_ids),
         retain=gather(ds, plan.retain_ids),
         test=gather(ds, plan.test_ids),
+        epsilon=0.05,
         calibrate_on_original=calibrate_on_original,
     )
     assert len(passes) == expected

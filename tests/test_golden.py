@@ -2,7 +2,8 @@
 
 One small fixed `experiment` run covering all five metrics, all four
 methods and two expansion sizes, the same run over two seeds, plus
-`score --kernel-csv`, `train` and one `unlearn` on the same config. Their
+`score --kernel-csv`, `train`, one `unlearn` and one `evaluate` of its
+unlearned model on the same config. Their
 artifacts must match the sha256 digests below byte for byte. A change that
 moves one of them either is a bug or names the change and its reason in
 CHANGES.md and records the new digest here. The digests were recorded with
@@ -59,7 +60,18 @@ TWO_SEED_DIGESTS = {
 UNLEARN_DIGESTS = {
     "unlearned-s0-grad_ascent-t3-k2.json":
         "8ed78164dd9551c3b45a6a9fa84237bc68a6210df0c4497cf6745f59e6642acb",
+    "unlearn-s0-grad_ascent-t3-k2.jsonl":
+        "3dc020c532c3dce599cfa1da3af16a8e11d6adc43dd5ab87ddfb0a7b3e7aa424",
 }
+
+# `evaluate` of that unlearned model against the trained one, forgetting 3.
+EVALUATE_DIGESTS = {
+    "evaluate.jsonl":
+        "265613cf45aba32907e429b210e6db8e2090dfe95c7a1282c33650451b211a8f",
+}
+
+UNLEARN_ARGS = ["unlearn", "--config", "cfg.json", "--method", "grad_ascent",
+                "--target", "3", "--k", "2"]
 
 
 def _write_config(directory, **overrides):
@@ -122,6 +134,15 @@ def test_unlearn_ranks_no_metric(golden_config, monkeypatch):
         raise AssertionError("unlearn ranked a metric")
 
     monkeypatch.setattr(scoring, "compute_metric", refuse)
-    assert cli.main(["unlearn", "--config", "cfg.json", "--method", "grad_ascent",
-                     "--target", "3", "--k", "2"]) == 0
+    assert cli.main(UNLEARN_ARGS) == 0
     assert _digests(golden_config / "out", UNLEARN_DIGESTS) == UNLEARN_DIGESTS
+
+
+def test_evaluate_report_matches_golden_digest(golden_config):
+    assert cli.main(["train", "--config", "cfg.json"]) == 0
+    assert cli.main(UNLEARN_ARGS) == 0
+    assert cli.main(["evaluate", "--config", "cfg.json",
+                     "--original", "out/model-s0.json",
+                     "--unlearned", "out/unlearned-s0-grad_ascent-t3-k2.json",
+                     "--targets", "3"]) == 0
+    assert _digests(golden_config / "out", EVALUATE_DIGESTS) == EVALUATE_DIGESTS

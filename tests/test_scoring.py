@@ -12,7 +12,7 @@ def _matrix(values, ids=None):
     values = np.asarray(values, dtype=np.float64)
     if ids is None:
         ids = np.arange(values.shape[0])
-    return stein.SteinKernelMatrix(values, 1.0, np.asarray(ids))
+    return stein.SteinKernelMatrix(values, np.asarray(ids))
 
 
 def _table(probs, norms=None, scores=None, ids=None):

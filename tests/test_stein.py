@@ -140,8 +140,7 @@ class TestScoreTable:
 
     def test_confident_sample_zero_row(self):
         spec = diffnet.NetworkSpec((1, 2))
-        layout = diffnet.build_layout(spec)
-        model = diffnet.MlpModel(spec, np.array([800.0, 0.0, 0.0, 0.0]), layout)
+        model = diffnet.MlpModel(spec, np.array([800.0, 0.0, 0.0, 0.0]))
         ds = LabeledDataset(np.array([[1.0]]), np.array([0]), np.array([0]), 2)
         table = stein.score_table(model, *gather(ds, ds.ids), ds.ids)
         assert np.all(table.input_scores == 0.0)
@@ -208,12 +207,12 @@ class TestKernelMatrix:
 class TestKsdStatistic:
     def test_constant_matrix(self):
         vals = np.full((4, 4), 2.5)
-        m = stein.SteinKernelMatrix(vals, 1.0, np.arange(4))
+        m = stein.SteinKernelMatrix(vals, np.arange(4))
         assert stein.ksd_statistic(m, "v_stat") == pytest.approx(2.5)
         assert stein.ksd_statistic(m, "u_stat") == pytest.approx(2.5)
 
     def test_u_stat_needs_two_samples(self):
-        m = stein.SteinKernelMatrix(np.array([[1.0]]), 1.0, np.arange(1))
+        m = stein.SteinKernelMatrix(np.array([[1.0]]), np.arange(1))
         with pytest.raises(ArgumentError):
             stein.ksd_statistic(m, "u_stat")
 
