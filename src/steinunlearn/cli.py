@@ -177,7 +177,7 @@ def cmd_evaluate(config: ExperimentConfig, original_path: str,
     rows = [exp.RunRow(
         run_id=f"s{seed}-evaluate", seed=seed, metric="manual",
         target_id=targets[0], easy_or_difficult="manual", method="manual",
-        k_expansion=len(targets) - 1, report=report, status="ok",
+        k_expansion=plan.forget_ids.size - 1, report=report, status="ok",
     )]
     exp.write_reports_jsonl(rows, out / "evaluate.jsonl")
     print(f"forget_acc={report.forget_acc:.2f} retain_acc={report.retain_acc:.4f} "

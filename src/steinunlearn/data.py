@@ -224,11 +224,13 @@ class SplitPlan:
     def with_forget(self, forget_ids: np.ndarray) -> "SplitPlan":
         """Move the given training ids into the forget set."""
         forget = np.unique(np.asarray(forget_ids, dtype=np.int64))
-        train = set(self.train_ids.tolist())
-        missing = [int(i) for i in forget if int(i) not in train]
-        if missing:
-            raise ArgumentError(f"forget ids {missing} are not training samples")
-        retain = np.setdiff1d(self.train_ids, forget)
+        train = self.train_ids
+        missing = forget[~np.isin(forget, train)]
+        if missing.size:
+            raise ArgumentError(
+                f"forget ids {missing.tolist()} are not training samples"
+            )
+        retain = np.setdiff1d(train, forget)
         return SplitPlan(retain, forget, self.test_ids)
 
 

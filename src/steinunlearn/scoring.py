@@ -59,42 +59,27 @@ def mksd(m: SteinKernelMatrix) -> np.ndarray:
     return m.values.sum(axis=1)
 
 
-def standardize_row(row: np.ndarray) -> np.ndarray:
-    """Z-score with population standard deviation."""
-    row = np.asarray(row, dtype=np.float64)
-    if row.size < 2:
-        raise ArgumentError("standardization needs at least 2 values")
-    std = float(row.std())
-    if std == 0.0:
-        raise DataError("row is constant; cannot standardize")
-    return (row - row.mean()) / std
-
-
 def msksd(m: SteinKernelMatrix, global_standardize: bool = False) -> np.ndarray:
-    """Row sums of exponentiated standardized kernel values.
+    """Row sums of exponentiated z-scored kernel values.
 
-    Standardization is per row by default, so each sample's kernel-value
-    distribution is brought to a common scale and the aggregate reacts to
-    its skew rather than its magnitude. The global mode (one z-scoring over
-    the whole matrix) exists for sensitivity runs.
+    Standardization (population std) is per row by default, so each
+    sample's kernel-value distribution is brought to a common scale and the
+    aggregate reacts to its skew rather than its magnitude. The global mode
+    (one z-scoring over the whole matrix) exists for sensitivity runs; the
+    two modes differ only in the axis the mean and std are taken over.
     """
     values = m.values
-    if global_standardize:
-        std = float(values.std())
-        if std == 0.0:
+    if m.n < 2:
+        raise ArgumentError("standardization needs at least 2 values")
+    axis = None if global_standardize else 1
+    std = values.std(axis=axis, keepdims=True)
+    if np.any(std == 0.0):
+        if global_standardize:
             raise DataError("kernel matrix is constant; cannot standardize")
-        z = (values - values.mean()) / std
-        return np.exp(z).sum(axis=1)
-    out = np.empty(m.n)
-    for i in range(m.n):
-        try:
-            z = standardize_row(values[i])
-        except DataError as exc:
-            raise DataError(
-                f"sample {int(m.sample_ids[i])}: {exc}"
-            ) from exc
-        out[i] = np.exp(z).sum()
-    return out
+        first = int(m.sample_ids[np.argmax(std == 0.0)])
+        raise DataError(f"sample {first}: row is constant; cannot standardize")
+    z = (values - values.mean(axis=axis, keepdims=True)) / std
+    return np.exp(z).sum(axis=1)
 
 
 def ssn(table: ScoreTable) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from steinunlearn import diffnet
-from steinunlearn.errors import ConfigurationError, ShapeError
+from steinunlearn.errors import ArgumentError, ConfigurationError, ShapeError
 
 
 def rel_close(a, b, rtol, floor=1.0):
@@ -94,6 +94,24 @@ def stein_kernel(
     h2 = h * h
     cross = float((s_a - s_b) @ delta)
     return float(k * (float(s_a @ s_b) + cross / h2 + d / h2 - r2 / (h2 * h2)))
+
+
+def ksd_statistic(m, mode="u_stat"):
+    """Kernel Stein discrepancy estimate from a Stein kernel matrix.
+
+    v_stat averages all entries; u_stat drops the diagonal, giving the
+    unbiased estimator that is zero in expectation under a matched model
+    (Liu, Lee & Jordan 2016).
+    """
+    if mode not in ("u_stat", "v_stat"):
+        raise ArgumentError(f"mode must be 'u_stat' or 'v_stat', got {mode!r}")
+    n = m.n
+    total = float(m.values.sum())
+    if mode == "v_stat":
+        return total / (n * n)
+    if n < 2:
+        raise ArgumentError("u-statistic needs at least 2 samples")
+    return (total - float(np.trace(m.values))) / (n * (n - 1))
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 import weakref
 from pathlib import Path
 
@@ -377,6 +378,17 @@ class TestRankAndUnlearnCommands:
         reloaded = experiment.read_model_json(model_files[0])
         assert reloaded.spec.layer_sizes == (2, 8, 3)
 
+    def test_evaluate_k_expansion_counts_distinct_targets(self, tmp_path):
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, output_dir=str(out))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        model = str(out / "model-s0.json")
+        assert cli.main(["evaluate", "--config", str(cfg_path), "--original", model,
+                         "--unlearned", model, "--targets", "3,3,3"]) == 0
+        row = json.loads((out / "evaluate.jsonl").read_text())
+        assert row["target_id"] == 3
+        assert row["k_expansion"] == 0
+
 
 _MODEL_SPEC = {"layer_sizes": [2, 8, 3], "activation": "relu"}
 
@@ -421,6 +433,19 @@ class TestBadCommandInput:
         err = capsys.readouterr().err
         assert str(bad) in err and re.search(match, err), err
 
+    def test_overflowing_kernel_exits_1_without_warning(self, tmp_path, capsys):
+        # finite scores of order 1e200 whose Gram products overflow
+        cfg_path = write_config(tmp_path, output_dir=str(tmp_path / "out"))
+        params = np.random.default_rng(0).uniform(-1.0, 1.0, 9) * 1e200
+        model = tmp_path / "huge.json"
+        experiment.write_model_json(
+            diffnet.MlpModel(diffnet.NetworkSpec((2, 3)), params), model
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["score", "--config", str(cfg_path), "--model", str(model)])
+        assert code == 1
+        assert "error: kernel matrix contains non-finite values" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["rank", "--bogus"], id="unknown-flag"),

@@ -1,5 +1,6 @@
 """Dataset generation, loaders, and split management."""
 
+import re
 import struct
 
 import numpy as np
@@ -182,8 +183,19 @@ class TestSplitPlan:
             forget_ids=np.array([], dtype=np.int64),
             test_ids=np.array([2]),
         )
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ArgumentError,
+                           match=re.escape("forget ids [2] are not training samples")):
             plan.with_forget(np.array([2]))
+
+    def test_with_forget_names_every_missing_id_once_ascending(self):
+        plan = data.SplitPlan(
+            retain_ids=np.array([0, 1]),
+            forget_ids=np.array([], dtype=np.int64),
+            test_ids=np.array([2]),
+        )
+        with pytest.raises(ArgumentError,
+                           match=re.escape("forget ids [2, 9] are not training samples")):
+            plan.with_forget(np.array([9, 2, 0, 9]))
 
     def test_overlap_rejected(self):
         with pytest.raises(DataError):

@@ -74,8 +74,9 @@ UNLEARN_ARGS = ["unlearn", "--config", "cfg.json", "--method", "grad_ascent",
                 "--target", "3", "--k", "2"]
 
 
-def _write_config(directory, **overrides):
-    cfg = mini_config_dict(
+def golden_config_dict(**overrides):
+    """The golden run's config: every metric and method, two expansion sizes."""
+    return mini_config_dict(
         metrics=["MKSD", "MSKSD", "SSN", "EMSKSD", "PC"],
         methods=[
             {"method": "grad_ascent", "lr": 0.05, "epochs": 50,
@@ -87,7 +88,10 @@ def _write_config(directory, **overrides):
         expansion_ks=[0, 2],
         **overrides,
     )
-    (directory / "cfg.json").write_text(json.dumps(cfg))
+
+
+def _write_config(directory, **overrides):
+    (directory / "cfg.json").write_text(json.dumps(golden_config_dict(**overrides)))
 
 
 @pytest.fixture

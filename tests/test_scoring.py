@@ -45,27 +45,58 @@ class TestMksd:
         assert np.allclose(scoring.mksd(mp_), scoring.mksd(m)[perm])
 
 
+def _rotations(row):
+    """Kernel matrix whose rows are the rotations of `row`, and the index of
+    the unrotated one. That index is the argmax, so the diagonal is max(row)."""
+    row = np.asarray(row, dtype=np.float64)
+    top = int(np.argmax(row))
+    rows = [np.roll(row, i - top) for i in range(row.size)]
+    return _matrix(np.stack(rows)), top
+
+
+def _msksd_zscores(monkeypatch, m, global_standardize=False):
+    """The z-scores `scoring.msksd` exponentiates for `m`."""
+    seen = []
+    real_exp = np.exp
+
+    def spy(z, *args, **kwargs):
+        seen.append(np.array(z))
+        return real_exp(z, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "exp", spy)
+        scoring.msksd(m, global_standardize)
+    (z,) = seen
+    return z
+
+
 class TestStandardizeRow:
-    def test_forced_values(self):
-        z = scoring.standardize_row(np.array([1.0, 2.0, 3.0]))
+    """Row standardization inside `msksd`, read off the z-scores it exponentiates."""
+
+    def test_forced_values(self, monkeypatch):
+        m, i = _rotations([1.0, 2.0, 3.0])
+        z = _msksd_zscores(monkeypatch, m)[i]
         root = 1.224744871391589  # sqrt(3/2)
         assert z == pytest.approx([-root, 0.0, root], rel=1e-12)
 
-    def test_zero_mean_unit_std(self, rng):
+    def test_zero_mean_unit_std(self, rng, monkeypatch):
         row = rng.normal(size=50) * 7 + 3
-        z = scoring.standardize_row(row)
+        m, i = _rotations(row)
+        z = _msksd_zscores(monkeypatch, m)[i]
         assert abs(z.mean()) <= 1e-10
         assert abs(z.std() - 1.0) <= 1e-10
 
-    def test_affine_invariance(self, rng):
+    def test_affine_invariance(self, rng, monkeypatch):
         row = rng.normal(size=20)
-        z1 = scoring.standardize_row(row)
-        z2 = scoring.standardize_row(3.5 * row + 11.0)
+        m1, i = _rotations(row)
+        m2, _ = _rotations(3.5 * row + 11.0)
+        z1 = _msksd_zscores(monkeypatch, m1)[i]
+        z2 = _msksd_zscores(monkeypatch, m2)[i]
         assert np.allclose(z1, z2, atol=1e-10)
 
     def test_constant_row_rejected(self):
         with pytest.raises(DataError):
-            scoring.standardize_row(np.full(4, 2.0))
+            scoring.msksd(_rotations(np.full(4, 2.0))[0])
 
 
 class TestMsksd:
@@ -84,15 +115,16 @@ class TestMsksd:
         assert s[0] == pytest.approx(s[1], rel=1e-12)
 
     def test_right_skew_scores_higher_than_mirror(self):
-        # sum of exp is convex, so a right-skewed row beats its mirror image
+        # sum of exp is convex, so a right-skewed row beats its mirror image;
+        # 10 - right z-scores like -right but keeps the diagonal positive
         right = np.array([0.0, 0.0, 0.0, 0.0, 10.0])
-        z_right = scoring.standardize_row(right)
-        z_left = scoring.standardize_row(-right)
-        assert np.exp(z_right).sum() > np.exp(z_left).sum()
+        m_right, i = _rotations(right)
+        m_left, j = _rotations(10.0 - right)
+        assert scoring.msksd(m_right)[i] > scoring.msksd(m_left)[j]
 
     def test_degenerate_row_names_sample(self):
         m = _matrix([[1.0, 1.0], [1.0, 3.0]], ids=[41, 42])
-        with pytest.raises(DataError, match="41"):
+        with pytest.raises(DataError, match="sample 41: row is constant"):
             scoring.msksd(m)
 
     def test_global_mode_differs_from_rowwise(self):
@@ -101,6 +133,16 @@ class TestMsksd:
         np.fill_diagonal(vals, [5.0, 50.0, 95.0])
         m = _matrix(vals)
         assert not np.allclose(scoring.msksd(m), scoring.msksd(m, True))
+
+    def test_constant_matrix_rejected_in_global_mode(self):
+        m = _matrix(np.full((3, 3), 2.0))
+        with pytest.raises(DataError, match="kernel matrix is constant"):
+            scoring.msksd(m, True)
+
+    @pytest.mark.parametrize("global_standardize", [False, True])
+    def test_single_sample_rejected(self, global_standardize):
+        with pytest.raises(ArgumentError, match="at least 2 values"):
+            scoring.msksd(_matrix([[2.5]]), global_standardize)
 
 
 class TestSsnAndPc:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from steinunlearn import diffnet, stein
+from steinunlearn import diffnet, experiment, stein
+from steinunlearn.config import ExperimentConfig
 from steinunlearn.data import LabeledDataset, gather, make_blobs
 from steinunlearn.errors import (
     ArgumentError,
@@ -12,7 +13,10 @@ from steinunlearn.errors import (
     ShapeError,
 )
 
-from conftest import fd_grad_params, random_model, rbf, rel_close, stein_kernel
+from conftest import (
+    fd_grad_params, ksd_statistic, random_model, rbf, rel_close, stein_kernel,
+)
+from test_golden import golden_config_dict
 
 
 def fd_stein_kernel(a, b, s_a, s_b, h, step=1e-5):
@@ -204,17 +208,42 @@ class TestKernelMatrix:
         assert np.array_equal(m.sample_ids, raw.sample_ids)
 
 
+def assert_kernel_invariants(m):
+    """What `SteinKernelMatrix` relies on its builder for, and what it checks."""
+    assert np.array_equal(m.values, m.values.T)
+    assert np.all(np.diag(m.values) > 0)
+    assert np.all(np.isfinite(m.values))
+
+
+class TestKernelInvariants:
+    """`stein_kernel_matrix` is exactly symmetric by construction, with a
+    positive diagonal and finite entries."""
+
+    def test_golden_config_kernel(self):
+        config = ExperimentConfig.from_dict(golden_config_dict())
+        assert_kernel_invariants(experiment.train_base(config, 0).kernel)
+
+    @pytest.mark.parametrize("d", [2, 16])
+    @pytest.mark.parametrize("n", [1, 2, 3001])
+    def test_random_inputs(self, n, d):
+        rng = np.random.default_rng(1000 * n + d)
+        X = rng.normal(size=(n, d))
+        S = rng.normal(size=(n, d))
+        h = stein.median_bandwidth(X) if n > 1 else 1.0
+        assert_kernel_invariants(stein.stein_kernel_matrix(X, S, h))
+
+
 class TestKsdStatistic:
     def test_constant_matrix(self):
         vals = np.full((4, 4), 2.5)
         m = stein.SteinKernelMatrix(vals, np.arange(4))
-        assert stein.ksd_statistic(m, "v_stat") == pytest.approx(2.5)
-        assert stein.ksd_statistic(m, "u_stat") == pytest.approx(2.5)
+        assert ksd_statistic(m, "v_stat") == pytest.approx(2.5)
+        assert ksd_statistic(m, "u_stat") == pytest.approx(2.5)
 
     def test_u_stat_needs_two_samples(self):
         m = stein.SteinKernelMatrix(np.array([[1.0]]), np.arange(1))
         with pytest.raises(ArgumentError):
-            stein.ksd_statistic(m, "u_stat")
+            ksd_statistic(m, "u_stat")
 
     def test_null_hypothesis_within_monte_carlo_error(self):
         # samples from a standard Gaussian scored with the true score -x:
@@ -223,7 +252,7 @@ class TestKsdStatistic:
         X = rng.standard_normal((500, 2))
         h = stein.median_bandwidth(X)
         m = stein.stein_kernel_matrix(X, -X, h)
-        u = stein.ksd_statistic(m, "u_stat")
+        u = ksd_statistic(m, "u_stat")
         off = m.values[~np.eye(500, dtype=bool)]
         se = off.std() / np.sqrt(off.size)
         assert abs(u) <= 4 * se
@@ -232,14 +261,14 @@ class TestKsdStatistic:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((500, 2))
         h = stein.median_bandwidth(X)
-        null_u = stein.ksd_statistic(
+        null_u = ksd_statistic(
             stein.stein_kernel_matrix(X, -X, h), "u_stat"
         )
         us = []
         for shift in (0.5, 1.0, 2.0):
             mu = np.full(2, shift)
             m = stein.stein_kernel_matrix(X, -(X - mu), h)
-            us.append(stein.ksd_statistic(m, "u_stat"))
+            us.append(ksd_statistic(m, "u_stat"))
         assert us[1] > 0
         assert us[1] > 10 * abs(null_u)
         assert us[0] < us[1] < us[2]
