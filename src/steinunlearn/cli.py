@@ -14,14 +14,11 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import experiment as exp
 from . import scoring, stein, unlearn
 from .config import ExperimentConfig, dump_config, load_config
-from .data import gather, split
+from .data import split
 from .errors import ConfigurationError, SteinUnlearnError
-from .evaluation import verdict
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -73,9 +70,8 @@ def cmd_train(config: ExperimentConfig) -> int:
         _, _, model, log = exp.train_model(config, seed)
         exp.write_model_json(model, out / f"model-s{seed}.json")
         exp.write_train_log_csv(log, out / f"trainlog-s{seed}.csv")
-        final = log[-1] if log else {"train_acc": float("nan")}
         print(f"seed {seed}: trained, final train_acc="
-              f"{final['train_acc']:.4f} -> {out / f'model-s{seed}.json'}")
+              f"{log[-1]['train_acc']:.4f} -> {out / f'model-s{seed}.json'}")
     return EXIT_OK
 
 
@@ -121,17 +117,14 @@ def _rank_seed(config: ExperimentConfig, seed: int) -> None:
 
 
 def cmd_unlearn(config: ExperimentConfig, method: str, target: int, k: int) -> int:
-    blocks = [m for m in config.methods if m.method == method]
-    if not blocks:
+    method_cfg = next((m for m in config.methods if m.method == method), None)
+    if method_cfg is None:
         raise ConfigurationError(f"no config block for method {method!r}")
     out = _out_dir(config)
     seed = config.seeds[0]
     # only the kernel is read, so no metric is ranked
     base = exp.train_base(dataclasses.replace(config, metrics=()), seed)
-    report, forget_ids, outcome = exp.run_single(
-        base, target, blocks[0], k, config.epsilon,
-        config.mia_calibrate_on_original,
-    )
+    report, forget_ids, outcome = exp.run_single(base, target, method_cfg, k, config)
     model_path = out / f"unlearned-s{seed}-{method}-t{target}-k{k}.json"
     exp.write_model_json(outcome.unlearned, model_path)
     rows = [exp.RunRow(
@@ -160,20 +153,10 @@ def cmd_evaluate(config: ExperimentConfig, original_path: str,
     out = _out_dir(config)
     seed = config.seeds[0]
     ds = config.dataset.build(seed)
-    plan = split(ds, config.test_fraction, seed).with_forget(
-        np.asarray(targets, dtype=np.int64)
-    )
+    plan = split(ds, config.test_fraction, seed).with_forget(targets)
     original = exp.read_model_json(original_path)
-    unlearned = exp.read_model_json(unlearned_path)
-    outcome = unlearn.UnlearnOutcome(unlearned, 0)
-    report = verdict(
-        original, outcome,
-        forget=gather(ds, plan.forget_ids),
-        retain=gather(ds, plan.retain_ids),
-        test=gather(ds, plan.test_ids),
-        epsilon=config.epsilon,
-        calibrate_on_original=config.mia_calibrate_on_original,
-    )
+    outcome = unlearn.UnlearnOutcome(exp.read_model_json(unlearned_path), 0)
+    report = exp.measure(original, outcome, ds, plan, config)
     rows = [exp.RunRow(
         run_id=f"s{seed}-evaluate", seed=seed, metric="manual",
         target_id=targets[0], easy_or_difficult="manual", method="manual",

@@ -123,6 +123,13 @@ class ExperimentConfig:
             _check(seed >= 0, f"seeds[{i}]", "must be >= 0", seed)
         _check(self.entropy_floor > 0, "entropy_floor", "must be positive",
                self.entropy_floor)
+        # a repeated entry would repeat rows under the same run ids
+        for name, values in (("seeds", self.seeds), ("metrics", self.metrics),
+                             ("expansion_ks", self.expansion_ks),
+                             ("methods", [m.method for m in self.methods])):
+            for i, value in enumerate(values):
+                _check(value not in values[:i], f"{name}[{i}]",
+                       "repeats an earlier entry", value)
 
     @staticmethod
     def from_dict(cfg: dict) -> "ExperimentConfig":

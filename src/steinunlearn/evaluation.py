@@ -18,14 +18,6 @@ from . import diffnet
 from .errors import ArgumentError, ComparisonError, NumericalError
 from .unlearn import UnlearnOutcome
 
-REPORT_COLUMNS = (
-    "run_id", "metric", "target_id", "easy_or_difficult", "method", "k_expansion",
-    "forget_acc", "retain_acc", "test_acc", "forget_loss", "retain_loss",
-    "test_loss", "total_param_distance", "activation_distance", "mia_efficacy",
-    "steps_taken", "success",
-)
-
-
 @dataclass
 class LayerwiseDistance:
     """Per-layer L2 norms of the parameter difference plus the overall norm."""

@@ -22,11 +22,18 @@ from .data import LabeledDataset, SplitPlan, gather, split
 from .errors import (
     ConfigurationError, DataError, NumericalError, SteinUnlearnError,
 )
-from .evaluation import REPORT_COLUMNS, UnlearnReport, accuracy, verdict
+from .evaluation import UnlearnReport, accuracy, verdict
 
 EASY = "easy"
 DIFFICULT = "difficult"
 
+# The run key (the first six, all RunRow fields), then the UnlearnReport fields.
+REPORT_COLUMNS = (
+    "run_id", "metric", "target_id", "easy_or_difficult", "method", "k_expansion",
+    "forget_acc", "retain_acc", "test_acc", "forget_loss", "retain_loss",
+    "test_loss", "total_param_distance", "activation_distance", "mia_efficacy",
+    "steps_taken", "success",
+)
 REPORT_CSV_COLUMNS = REPORT_COLUMNS + ("status",)
 
 # aggregate.csv groups rows by AGGREGATE_KEY and averages the report fields
@@ -36,24 +43,6 @@ AGGREGATE_MEANS = (
     "forget_acc", "retain_acc", "test_acc", "forget_loss", "test_loss",
     "mia_efficacy", "total_param_distance",
 )
-
-# Indirection point for the four unlearning procedures; tests may patch
-# entries to inject failures.
-METHOD_RUNNERS = {
-    "grad_ascent": lambda model, ds, plan, cfg: unlearn.grad_ascent(
-        model, ds, plan.forget_ids, cfg
-    ),
-    "fine_tune": lambda model, ds, plan, cfg: unlearn.fine_tune(
-        model, ds, plan.retain_ids, cfg
-    ),
-    "fisher": lambda model, ds, plan, cfg: unlearn.fisher_forget(
-        model, ds, plan.retain_ids, cfg
-    ),
-    "retrain": lambda model, ds, plan, cfg: unlearn.retrain(
-        model.spec, ds, plan.retain_ids, cfg
-    ),
-}
-
 
 @dataclass
 class TrainedBase:
@@ -164,28 +153,38 @@ def run_single(
     target_id: int,
     method_cfg: unlearn.UnlearnConfig,
     k: int,
-    epsilon: float,
-    calibrate_on_original: bool = False,
+    config: ExperimentConfig,
 ) -> tuple[UnlearnReport, np.ndarray, unlearn.UnlearnOutcome]:
     """Unlearn one expanded target set and measure the outcome."""
     forget_ids = unlearn.expand_forget_set(target_id, base.kernel, k)
     plan = base.plan.with_forget(forget_ids)
-    runner = METHOD_RUNNERS[method_cfg.method]
-    outcome = runner(base.model, base.ds, plan, method_cfg)
-    report = verdict(
-        base.model,
+    method = getattr(unlearn, unlearn.METHOD_FUNCTIONS[method_cfg.method])
+    outcome = method(base.model, base.ds, plan, method_cfg)
+    return measure(base.model, outcome, base.ds, plan, config), forget_ids, outcome
+
+
+def measure(
+    original: diffnet.MlpModel,
+    outcome: unlearn.UnlearnOutcome,
+    ds: LabeledDataset,
+    plan: SplitPlan,
+    config: ExperimentConfig,
+) -> UnlearnReport:
+    """The verdict on `outcome` over the forget, retain and test splits of `plan`."""
+    return verdict(
+        original,
         outcome,
-        forget=gather(base.ds, plan.forget_ids),
-        retain=gather(base.ds, plan.retain_ids),
-        test=gather(base.ds, plan.test_ids),
-        epsilon=epsilon,
-        calibrate_on_original=calibrate_on_original,
+        forget=gather(ds, plan.forget_ids),
+        retain=gather(ds, plan.retain_ids),
+        test=gather(ds, plan.test_ids),
+        epsilon=config.epsilon,
+        calibrate_on_original=config.mia_calibrate_on_original,
     )
-    return report, forget_ids, outcome
 
 
 def run_base(config: ExperimentConfig, base: TrainedBase) -> list[RunRow]:
-    """Every run of one base, in deterministic run-key order."""
+    """Every run of one base, in deterministic run-key order; a failed row
+    has no report and a status naming the error."""
     rows: list[RunRow] = []
     for metric in config.metrics:
         targets = select_targets(base.rankings[metric], config.top_k_each_end)
@@ -193,34 +192,17 @@ def run_base(config: ExperimentConfig, base: TrainedBase) -> list[RunRow]:
             for target, method_cfg, k in product(
                 targets[end].tolist(), config.methods, config.expansion_ks
             ):
-                report, status = _measure(config, base, target, method_cfg, k)
+                try:
+                    report = run_single(base, target, method_cfg, k, config)[0]
+                    status = "ok"
+                except (SteinUnlearnError, FloatingPointError) as exc:
+                    report, status = None, f"error: {exc}"
                 rows.append(RunRow(
                     f"s{base.seed}-{metric}-{end}-t{target}-{method_cfg.method}-k{k}",
                     base.seed, metric, target, end, method_cfg.method, k,
                     report, status,
                 ))
     return rows
-
-
-def _measure(
-    config: ExperimentConfig,
-    base: TrainedBase,
-    target: int,
-    method_cfg: unlearn.UnlearnConfig,
-    k: int,
-) -> tuple[UnlearnReport | None, str]:
-    """One row's report and status; a failed row has no report."""
-    n_train = base.plan.train_ids.size
-    if k >= n_train:
-        return None, f"error: k={k} exceeds training size {n_train}"
-    try:
-        report, _, _ = run_single(
-            base, target, method_cfg, k, config.epsilon,
-            config.mia_calibrate_on_original,
-        )
-    except (SteinUnlearnError, FloatingPointError) as exc:
-        return None, f"error: {exc}"
-    return report, "ok"
 
 
 def aggregate_rows(rows: list[RunRow]) -> list[dict]:
@@ -305,12 +287,15 @@ def read_model_json(path: str | Path) -> diffnet.MlpModel:
     for key in ("layer_sizes", "activation", "params"):
         if not isinstance(obj, dict) or key not in obj:
             raise DataError(f"{path}: not a model file: no {key!r} field")
+    sizes = obj["layer_sizes"]
+    if not isinstance(sizes, list) or not all(
+        isinstance(s, int) and not isinstance(s, bool) for s in sizes
+    ):
+        raise DataError(f"{path}: layer_sizes: expected a list of integers")
     try:
-        spec = diffnet.NetworkSpec(tuple(obj["layer_sizes"]), obj["activation"])
+        spec = diffnet.NetworkSpec(tuple(sizes), obj["activation"])
     except ConfigurationError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{path}: layer_sizes: expected a list of integers") from exc
     try:
         params = np.asarray(obj["params"], dtype=np.float64)
         return diffnet.MlpModel(spec, params)

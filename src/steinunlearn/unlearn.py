@@ -1,8 +1,9 @@
 """Unlearning procedures: gradient ascent, fine-tuning, Fisher noise, retraining.
 
-Each procedure takes the dataset plus explicit id sets and returns a fresh
-model; fine_tune and retrain read training rows only through data.gather,
-so an attached AccessLog can prove the forget samples were never touched.
+Each procedure takes (model, ds, plan, cfg) and returns an UnlearnOutcome
+holding a fresh model. grad_ascent reads the plan's forget split; the other
+three read only its retain split, through data.gather, so an attached
+AccessLog can prove the forget samples were never touched.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffnet
-from .data import LabeledDataset, gather
+from .data import LabeledDataset, SplitPlan, gather
 from .errors import ArgumentError, ConfigurationError, NumericalError
 from .stein import SteinKernelMatrix
 
@@ -25,6 +26,15 @@ METHOD_FIELDS = {
     "retrain": ("lr", "epochs", "batch_size"),
 }
 METHODS = tuple(METHOD_FIELDS)
+
+# The unlearn-module function that runs each method. Callers look it up on
+# the module when they call it, so a wrapper set on the attribute is used.
+METHOD_FUNCTIONS = {
+    "grad_ascent": "grad_ascent",
+    "fine_tune": "fine_tune",
+    "fisher": "fisher_forget",
+    "retrain": "retrain",
+}
 
 # Method fields that must be positive; the others must be >= 0.
 POSITIVE_FIELDS = ("lr", "batch_size")
@@ -66,10 +76,7 @@ class UnlearnOutcome:
 
 
 def grad_ascent(
-    model: diffnet.MlpModel,
-    ds: LabeledDataset,
-    forget_ids: np.ndarray,
-    cfg: UnlearnConfig,
+    model: diffnet.MlpModel, ds: LabeledDataset, plan: SplitPlan, cfg: UnlearnConfig
 ) -> UnlearnOutcome:
     """Full-batch ascent on the forget set's mean NLL.
 
@@ -77,10 +84,9 @@ def grad_ascent(
     cfg.epochs steps, whichever comes first; the threshold is checked
     before each step, so a pre-satisfied threshold takes zero steps.
     """
-    forget_ids = np.asarray(forget_ids, dtype=np.int64)
-    if forget_ids.size == 0:
+    if plan.forget_ids.size == 0:
         raise ArgumentError("forget set is empty")
-    X, y = gather(ds, forget_ids)
+    X, y = gather(ds, plan.forget_ids)
     current = model.copy()
     steps = 0
     # overflow inside a diverging run is handled explicitly below
@@ -105,37 +111,32 @@ def grad_ascent(
     return UnlearnOutcome(current, steps)
 
 
+def _retain_rows(ds: LabeledDataset, plan: SplitPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The retain split's features and labels, read through gather."""
+    if plan.retain_ids.size == 0:
+        raise ArgumentError("retain set is empty")
+    return gather(ds, plan.retain_ids)
+
+
 def _sgd_on_retain(
-    start: diffnet.MlpModel,
-    ds: LabeledDataset,
-    retain_ids: np.ndarray,
-    cfg: UnlearnConfig,
+    start: diffnet.MlpModel, ds: LabeledDataset, plan: SplitPlan, cfg: UnlearnConfig
 ) -> UnlearnOutcome:
     """SGD from `start` on the retain split only."""
-    retain_ids = np.asarray(retain_ids, dtype=np.int64)
-    if retain_ids.size == 0:
-        raise ArgumentError("retain set is empty")
-    X, y = gather(ds, retain_ids)
+    X, y = _retain_rows(ds, plan)
     trained = diffnet.train(start, X, y, cfg.lr, cfg.epochs, cfg.batch_size, cfg.seed)
     batches = -(-X.shape[0] // cfg.batch_size)
     return UnlearnOutcome(trained, cfg.epochs * batches)
 
 
 def fine_tune(
-    model: diffnet.MlpModel,
-    ds: LabeledDataset,
-    retain_ids: np.ndarray,
-    cfg: UnlearnConfig,
+    model: diffnet.MlpModel, ds: LabeledDataset, plan: SplitPlan, cfg: UnlearnConfig
 ) -> UnlearnOutcome:
     """Continue SGD training on the retain split only."""
-    return _sgd_on_retain(model, ds, retain_ids, cfg)
+    return _sgd_on_retain(model, ds, plan, cfg)
 
 
 def fisher_forget(
-    model: diffnet.MlpModel,
-    ds: LabeledDataset,
-    retain_ids: np.ndarray,
-    cfg: UnlearnConfig,
+    model: diffnet.MlpModel, ds: LabeledDataset, plan: SplitPlan, cfg: UnlearnConfig
 ) -> UnlearnOutcome:
     """Add seeded Gaussian noise scaled inversely to parameter importance.
 
@@ -143,10 +144,7 @@ def fisher_forget(
     split; coordinate i receives noise with standard deviation
     sqrt(alpha / (F_i + damping)), so well-determined parameters move least.
     """
-    retain_ids = np.asarray(retain_ids, dtype=np.int64)
-    if retain_ids.size == 0:
-        raise ArgumentError("retain set is empty")
-    X, y = gather(ds, retain_ids)
+    X, y = _retain_rows(ds, plan)
     if cfg.alpha == 0.0:
         return UnlearnOutcome(model.copy(), 0)
     fim = diffnet.fisher_diagonal(model, X, y)
@@ -159,13 +157,10 @@ def fisher_forget(
 
 
 def retrain(
-    spec: diffnet.NetworkSpec,
-    ds: LabeledDataset,
-    retain_ids: np.ndarray,
-    cfg: UnlearnConfig,
+    model: diffnet.MlpModel, ds: LabeledDataset, plan: SplitPlan, cfg: UnlearnConfig
 ) -> UnlearnOutcome:
-    """Train a freshly initialized model on the retain split only."""
-    return _sgd_on_retain(diffnet.init_network(spec, cfg.seed), ds, retain_ids, cfg)
+    """Train a freshly initialized model of model.spec on the retain split only."""
+    return _sgd_on_retain(diffnet.init_network(model.spec, cfg.seed), ds, plan, cfg)
 
 
 def expand_forget_set(
@@ -175,8 +170,10 @@ def expand_forget_set(
 
     Ties in kernel value are broken toward the smaller sample id.
     """
-    if not 0 <= k <= m.n - 1:
-        raise ArgumentError(f"k must lie in [0, {m.n - 1}], got {k}")
+    if k < 0:
+        raise ArgumentError(f"k must be >= 0, got {k}")
+    if k >= m.n:
+        raise ArgumentError(f"k={k} exceeds training size {m.n}")
     idx = m.index_of(target_id)
     row = m.values[idx]
     candidates = np.flatnonzero(m.sample_ids != target_id)

@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinunlearn import cli, diffnet, experiment
+from steinunlearn import cli, diffnet, experiment, unlearn
 from steinunlearn.config import ExperimentConfig, dump_config, load_config
 from steinunlearn.data import split
 from steinunlearn.errors import ConfigurationError, NumericalError
-from steinunlearn.evaluation import REPORT_COLUMNS
+from steinunlearn.experiment import REPORT_COLUMNS
 
 
 def mini_config_dict(**overrides):
@@ -83,6 +83,14 @@ BAD_CONFIGS = [
     pytest.param({"epsilon": float("nan")}, r"epsilon: expected a finite number",
                  id="nan-epsilon"),
     pytest.param({"output_dir": 5}, r"output_dir: expected a string", id="number-path"),
+    pytest.param({"seeds": [0, 0]}, r"seeds\[1\]: repeats an earlier entry",
+                 id="repeated-seed"),
+    pytest.param({"metrics": ["PC", "PC"]}, r"metrics\[1\]: repeats an earlier entry",
+                 id="repeated-metric"),
+    pytest.param({"expansion_ks": [0, 0]},
+                 r"expansion_ks\[1\]: repeats an earlier entry", id="repeated-k"),
+    pytest.param({"methods": [_GA, {**_GA, "lr": 1.0}]},
+                 r"methods\[1\]: repeats an earlier entry", id="repeated-method"),
 ]
 
 
@@ -266,7 +274,7 @@ class TestExperimentCommand:
         def exploding(model, ds, plan, cfg):
             raise NumericalError("synthetic divergence")
 
-        monkeypatch.setitem(experiment.METHOD_RUNNERS, "fisher", exploding)
+        monkeypatch.setattr(unlearn, "fisher_forget", exploding)
         cfg_path = write_config(
             tmp_path,
             methods=[
@@ -350,6 +358,13 @@ class TestExperimentCommand:
             ["experiment", "--config", str(cfg_path), "--methods", "nonsense"]
         ) == 1
 
+    def test_repeated_metrics_override_exits_1(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, output_dir=str(tmp_path / "out"))
+        assert cli.main(
+            ["experiment", "--config", str(cfg_path), "--metrics", "PC,PC"]
+        ) == 1
+        assert "metrics[1]: repeats an earlier entry" in capsys.readouterr().err
+
 
 class TestRankAndUnlearnCommands:
     def test_rank_prints_both_ends(self, tmp_path, capsys):
@@ -401,6 +416,14 @@ BAD_MODEL_FILES = [
                  r"params: could not convert", id="string-params"),
     pytest.param(json.dumps({**_MODEL_SPEC, "layer_sizes": ["a", 3], "params": []}),
                  r"layer_sizes: expected a list of integers", id="string-layer-size"),
+    pytest.param(json.dumps({**_MODEL_SPEC, "layer_sizes": [2.9, 8, 3],
+                             "params": [0.0] * 51}),
+                 r"layer_sizes: expected a list of integers",
+                 id="fractional-layer-size"),
+    pytest.param(json.dumps({**_MODEL_SPEC, "layer_sizes": ["2", 8, 3],
+                             "params": [0.0] * 51}),
+                 r"layer_sizes: expected a list of integers",
+                 id="numeric-string-layer-size"),
 ]
 
 

@@ -87,7 +87,7 @@ def test_grad_ascent_runs_one_pass_per_step(blobs, passes, lr, threshold, stops_
     ds, plan, model = blobs
     cfg = unlearn.UnlearnConfig(method="grad_ascent", lr=lr, epochs=12,
                                 overfit_threshold=threshold)
-    out = unlearn.grad_ascent(model, ds, plan.train_ids[:2], cfg)
+    out = unlearn.grad_ascent(model, ds, plan.with_forget(plan.train_ids[:2]), cfg)
     assert (out.steps_taken < cfg.epochs) == stops_early
     assert len(passes) == out.steps_taken + stops_early
 

@@ -1,9 +1,11 @@
 """The hooks the benchmark's span tracer reads from the package.
 
-`perfbench/tracer.py` wraps the package's public functions and reads a few
-results (`SteinKernelMatrix.n`, `UnlearnOutcome.steps_taken`). The traced
-run goes through `perfbench/child.py` in a subprocess, so the wrappers never
-reach the functions other tests call.
+`perfbench/tracer.py` wraps the package's public functions, counts the
+calls of each, and reads a few results (`SteinKernelMatrix.n`,
+`UnlearnOutcome.steps_taken`). Every row must therefore reach its method
+through the module attribute the tracer replaced. The traced run goes
+through `perfbench/child.py` in a subprocess, so the wrappers never reach
+the functions other tests call.
 """
 
 import json
@@ -18,6 +20,14 @@ from steinunlearn.data import split
 from test_golden import golden_config_dict
 
 REPO = Path(__file__).resolve().parents[1]
+
+# The traced function that runs each method's rows.
+METHOD_SPANS = {
+    "grad_ascent": "unlearn.grad_ascent",
+    "fine_tune": "unlearn.fine_tune",
+    "fisher": "unlearn.fisher_forget",
+    "retrain": "unlearn.retrain",
+}
 
 
 def test_traced_experiment_counts_kernel_entries_and_ascent_steps(tmp_path):
@@ -36,7 +46,8 @@ def test_traced_experiment_counts_kernel_entries_and_ascent_steps(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "result.json").read_text())["rc"] == 0
 
-    counters = json.loads((trace_dir / "trace.json").read_text())["counters"]
+    trace = json.loads((trace_dir / "trace.json").read_text())
+    counters = trace["counters"]
     config = ExperimentConfig.from_dict(cfg)
     n_train = [
         split(config.dataset.build(seed), config.test_fraction, seed).train_ids.size
@@ -50,3 +61,9 @@ def test_traced_experiment_counts_kernel_entries_and_ascent_steps(tmp_path):
                        if row["method"] == "grad_ascent")
     assert ascent_steps > 0
     assert counters["unlearn.grad_ascent.steps"] == ascent_steps
+
+    # every row runs through run_single and its method's traced function
+    calls = {name: layer["calls"] for name, layer in trace["layers"].items()}
+    assert calls["experiment.run_single"] == len(rows)
+    for method, span in METHOD_SPANS.items():
+        assert calls[span] == sum(row["method"] == method for row in rows), span

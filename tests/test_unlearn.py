@@ -55,13 +55,14 @@ class TestGradAscent:
         cfg = unlearn.UnlearnConfig(
             method="grad_ascent", lr=0.01, epochs=50, overfit_threshold=0.0
         )
-        out = unlearn.grad_ascent(model, ds, plan.train_ids[:1], cfg)
+        out = unlearn.grad_ascent(model, ds, plan.with_forget(plan.train_ids[:1]), cfg)
         assert out.steps_taken == 0
         assert np.array_equal(out.unlearned.params, model.params)
 
     def test_loss_monotone_at_small_lr(self, trained_blobs):
         ds, plan, model = trained_blobs
         target = plan.train_ids[:1]
+        moved = plan.with_forget(target)
         X, y = ds.features[target], ds.labels[target]
         cfg = unlearn.UnlearnConfig(
             method="grad_ascent", lr=1e-5, epochs=40, overfit_threshold=1e9
@@ -72,7 +73,7 @@ class TestGradAscent:
             method="grad_ascent", lr=1e-5, epochs=1, overfit_threshold=1e9
         )
         for _ in range(40):
-            current = unlearn.grad_ascent(current, ds, target, one).unlearned
+            current = unlearn.grad_ascent(current, ds, moved, one).unlearned
             losses.append(diffnet.forward(current, X).nll(y).mean())
         diffs = np.diff(losses)
         assert np.all(diffs >= 0)
@@ -82,26 +83,26 @@ class TestGradAscent:
         cfg = unlearn.UnlearnConfig(
             method="grad_ascent", lr=0.05, epochs=500, overfit_threshold=2.0
         )
-        out = unlearn.grad_ascent(model, ds, plan.train_ids[:1], cfg)
+        out = unlearn.grad_ascent(model, ds, plan.with_forget(plan.train_ids[:1]), cfg)
         X, y = ds.features[plan.train_ids[:1]], ds.labels[plan.train_ids[:1]]
         final = diffnet.forward(out.unlearned, X).nll(y).mean()
         assert final >= 2.0 or out.steps_taken == 500
 
     def test_empty_forget_rejected(self, trained_blobs):
-        ds, _, model = trained_blobs
+        ds, plan, model = trained_blobs
         cfg = unlearn.UnlearnConfig(
             method="grad_ascent", lr=0.01, epochs=1, overfit_threshold=5.0
         )
         with pytest.raises(ArgumentError):
-            unlearn.grad_ascent(model, ds, np.empty(0, dtype=np.int64), cfg)
+            unlearn.grad_ascent(model, ds, plan, cfg)
 
     def test_deterministic(self, trained_blobs):
         ds, plan, model = trained_blobs
         cfg = unlearn.UnlearnConfig(
             method="grad_ascent", lr=0.02, epochs=30, overfit_threshold=5.0
         )
-        a = unlearn.grad_ascent(model, ds, plan.train_ids[:2], cfg)
-        b = unlearn.grad_ascent(model, ds, plan.train_ids[:2], cfg)
+        a = unlearn.grad_ascent(model, ds, plan.with_forget(plan.train_ids[:2]), cfg)
+        b = unlearn.grad_ascent(model, ds, plan.with_forget(plan.train_ids[:2]), cfg)
         assert np.array_equal(a.unlearned.params, b.unlearned.params)
         assert a.steps_taken == b.steps_taken
 
@@ -113,14 +114,14 @@ class TestGradAscent:
             method="grad_ascent", lr=1e12, epochs=200, overfit_threshold=1e308
         )
         with pytest.raises(NumericalError, match="last finite step"):
-            unlearn.grad_ascent(model, ds, plan.train_ids[:1], cfg)
+            unlearn.grad_ascent(model, ds, plan.with_forget(plan.train_ids[:1]), cfg)
 
 
 class TestFineTune:
     def test_zero_epochs_identity(self, trained_blobs):
         ds, plan, model = trained_blobs
         cfg = unlearn.UnlearnConfig(method="fine_tune", lr=0.1, epochs=0)
-        out = unlearn.fine_tune(model, ds, plan.retain_ids, cfg)
+        out = unlearn.fine_tune(model, ds, plan, cfg)
         assert np.array_equal(out.unlearned.params, model.params)
 
     def test_never_reads_forget_samples(self, trained_blobs):
@@ -131,7 +132,7 @@ class TestFineTune:
         try:
             cfg = unlearn.UnlearnConfig(method="fine_tune", lr=0.05, epochs=2,
                                         batch_size=16)
-            unlearn.fine_tune(model, ds, moved.retain_ids, cfg)
+            unlearn.fine_tune(model, ds, moved, cfg)
             assert all(ds.access_log.count(f) == 0 for f in forget)
         finally:
             ds.access_log = None
@@ -145,7 +146,7 @@ class TestFineTune:
         )
         cfg = unlearn.UnlearnConfig(method="fine_tune", lr=0.05, epochs=5,
                                     batch_size=16, seed=1)
-        out = unlearn.fine_tune(model, ds, moved.retain_ids, cfg)
+        out = unlearn.fine_tune(model, ds, moved, cfg)
         after = float(
             (diffnet.forward(out.unlearned, X).probs.argmax(1) == y).mean()
         )
@@ -155,8 +156,8 @@ class TestFineTune:
         ds, plan, model = trained_blobs
         cfg = unlearn.UnlearnConfig(method="fine_tune", lr=0.05, epochs=3,
                                     batch_size=8, seed=5)
-        a = unlearn.fine_tune(model, ds, plan.retain_ids, cfg)
-        b = unlearn.fine_tune(model, ds, plan.retain_ids, cfg)
+        a = unlearn.fine_tune(model, ds, plan, cfg)
+        b = unlearn.fine_tune(model, ds, plan, cfg)
         assert np.array_equal(a.unlearned.params, b.unlearned.params)
 
 
@@ -164,7 +165,7 @@ class TestFisherForget:
     def test_zero_alpha_identity(self, trained_blobs):
         ds, plan, model = trained_blobs
         cfg = unlearn.UnlearnConfig(method="fisher", alpha=0.0, seed=3)
-        out = unlearn.fisher_forget(model, ds, plan.retain_ids, cfg)
+        out = unlearn.fisher_forget(model, ds, plan, cfg)
         assert np.array_equal(out.unlearned.params, model.params)
 
     def test_sigma_monotone_in_importance(self, trained_blobs):
@@ -192,8 +193,8 @@ class TestFisherForget:
     def test_seeded_noise_reproducible(self, trained_blobs):
         ds, plan, model = trained_blobs
         cfg = unlearn.UnlearnConfig(method="fisher", alpha=1e-5, seed=11)
-        a = unlearn.fisher_forget(model, ds, plan.retain_ids, cfg)
-        b = unlearn.fisher_forget(model, ds, plan.retain_ids, cfg)
+        a = unlearn.fisher_forget(model, ds, plan, cfg)
+        b = unlearn.fisher_forget(model, ds, plan, cfg)
         assert np.array_equal(a.unlearned.params, b.unlearned.params)
 
     def test_noise_std_matches_law(self, trained_blobs):
@@ -206,7 +207,7 @@ class TestFisherForget:
         for s in range(1000):
             cfg = unlearn.UnlearnConfig(method="fisher", alpha=1e-4, seed=s)
             draws[s] = (
-                unlearn.fisher_forget(model, ds, plan.retain_ids, cfg).unlearned.params
+                unlearn.fisher_forget(model, ds, plan, cfg).unlearned.params
                 - model.params
             )
         empirical = draws.std(axis=0)
@@ -221,7 +222,7 @@ class TestRetrain:
         cfg = unlearn.UnlearnConfig(
             method="retrain", lr=0.05, epochs=60, batch_size=16, seed=0
         )
-        out = unlearn.retrain(model.spec, ds, plan.train_ids, cfg)
+        out = unlearn.retrain(model, ds, plan, cfg)
         assert np.array_equal(out.unlearned.params, model.params)
 
     def test_never_reads_forget_samples(self, trained_blobs):
@@ -233,7 +234,7 @@ class TestRetrain:
             cfg = unlearn.UnlearnConfig(
                 method="retrain", lr=0.05, epochs=2, batch_size=16, seed=0
             )
-            unlearn.retrain(model.spec, ds, moved.retain_ids, cfg)
+            unlearn.retrain(model, ds, moved, cfg)
             assert all(ds.access_log.count(f) == 0 for f in forget)
         finally:
             ds.access_log = None
