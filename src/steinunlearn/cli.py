@@ -42,9 +42,9 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     changes = {}
     if getattr(args, "seed", None) is not None:
         changes["seeds"] = (args.seed,)
-    if getattr(args, "metrics", None):
+    if getattr(args, "metrics", None) is not None:
         changes["metrics"] = tuple(m.strip() for m in args.metrics.split(","))
-    if getattr(args, "methods", None):
+    if getattr(args, "methods", None) is not None:
         wanted = {m.strip() for m in args.methods.split(",")}
         kept = tuple(m for m in config.methods if m.method in wanted)
         missing = wanted - {m.method for m in kept}
@@ -53,7 +53,7 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
                 f"--methods: {sorted(missing)} have no config block in the file"
             )
         changes["methods"] = kept
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         changes["output_dir"] = args.out
     return dataclasses.replace(config, **changes) if changes else config
 

@@ -121,6 +121,7 @@ class ExperimentConfig:
         _check(self.epsilon >= 0, "epsilon", "must be >= 0", self.epsilon)
         for i, seed in enumerate(self.seeds):
             _check(seed >= 0, f"seeds[{i}]", "must be >= 0", seed)
+        _check(self.output_dir != "", "output_dir", "must not be empty", self.output_dir)
         _check(self.entropy_floor > 0, "entropy_floor", "must be positive",
                self.entropy_floor)
         # a repeated entry would repeat rows under the same run ids

@@ -201,7 +201,8 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> LabeledDataset
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """Disjoint retain/forget/test id sets; retain and forget partition training."""
+    """Disjoint retain/forget/test id sets, each without repeats; retain and
+    forget partition training."""
 
     retain_ids: np.ndarray
     forget_ids: np.ndarray
@@ -211,11 +212,9 @@ class SplitPlan:
         for name in ("retain_ids", "forget_ids", "test_ids"):
             arr = np.sort(np.asarray(getattr(self, name), dtype=np.int64))
             object.__setattr__(self, name, arr)
-        retain = set(self.retain_ids.tolist())
-        forget = set(self.forget_ids.tolist())
-        test = set(self.test_ids.tolist())
-        if retain & forget or retain & test or forget & test:
-            raise DataError("retain/forget/test id sets must be pairwise disjoint")
+        ids = np.sort(np.concatenate([self.retain_ids, self.forget_ids, self.test_ids]))
+        if np.any(ids[1:] == ids[:-1]):
+            raise DataError("retain/forget/test ids must be distinct: an id repeats")
 
     @property
     def train_ids(self) -> np.ndarray:

@@ -3,12 +3,13 @@
 Forward passes, cross-entropy training, and backprop gradients with respect
 to both parameters and inputs. Parameters live in one flat float64 vector
 (all weight matrices first, then all bias vectors, layer by layer) so that
-models can be compared, perturbed, and serialized coordinate-wise.
+models can be compared, perturbed, and serialized coordinate-wise. That
+layout is written down once, in NetworkSpec.views; every layer-wise reader
+or writer of a flat vector goes through its per-layer views.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,34 +57,27 @@ class NetworkSpec:
         """Number of weight layers (linear maps), not counting the input."""
         return len(self.layer_sizes) - 1
 
-    @functools.cached_property
-    def layout(self) -> "ParamLayout":
-        return build_layout(self)
+    @property
+    def n_params(self) -> int:
+        sizes = self.layer_sizes
+        return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
 
+    def views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Each layer's (fan_out, fan_in) weight and its bias, as views into flat.
 
-@dataclass(frozen=True)
-class ParamLayout:
-    """Offsets of each layer's weight and bias block in the flat vector."""
-
-    weight_slices: tuple[tuple[int, int], ...]
-    weight_shapes: tuple[tuple[int, int], ...]
-    bias_slices: tuple[tuple[int, int], ...]
-    n_params: int
-
-
-def build_layout(spec: NetworkSpec) -> ParamLayout:
-    sizes = spec.layer_sizes
-    w_slices, w_shapes = [], []
-    offset = 0
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w_shapes.append((fan_out, fan_in))
-        w_slices.append((offset, offset + fan_in * fan_out))
-        offset += fan_in * fan_out
-    b_slices = []
-    for fan_out in sizes[1:]:
-        b_slices.append((offset, offset + fan_out))
-        offset += fan_out
-    return ParamLayout(tuple(w_slices), tuple(w_shapes), tuple(b_slices), offset)
+        flat holds n_params entries: every weight matrix row-major, then
+        every bias vector, layer by layer. Writing a view writes flat.
+        """
+        sizes = self.layer_sizes
+        weights, biases = [], []
+        lo = 0
+        for fan_in, fan_out in zip(sizes, sizes[1:]):
+            weights.append(flat[lo : lo + fan_in * fan_out].reshape(fan_out, fan_in))
+            lo += fan_in * fan_out
+        for fan_out in sizes[1:]:
+            biases.append(flat[lo : lo + fan_out])
+            lo += fan_out
+        return weights, biases
 
 
 @dataclass
@@ -91,30 +85,23 @@ class MlpModel:
     """Architecture spec plus one flat parameter vector.
 
     Treat instances as immutable; operations that change parameters return
-    a new model built around a fresh vector.
+    a new model built around a fresh vector. weights and biases are the
+    spec's per-layer views into params.
     """
 
     spec: NetworkSpec
     params: np.ndarray
-    layout: ParamLayout = field(init=False, repr=False)
+    weights: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    biases: list[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.layout = self.spec.layout
         self.params = np.asarray(self.params, dtype=np.float64)
-        if self.params.ndim != 1 or self.params.shape[0] != self.layout.n_params:
-            raise ShapeError(
-                f"expected {self.layout.n_params} parameters, got {self.params.shape}"
-            )
+        n_params = self.spec.n_params
+        if self.params.ndim != 1 or self.params.shape[0] != n_params:
+            raise ShapeError(f"expected {n_params} parameters, got {self.params.shape}")
         if not np.all(np.isfinite(self.params)):
             raise NumericalError("parameter vector contains non-finite entries")
-
-    def weight(self, layer: int) -> np.ndarray:
-        lo, hi = self.layout.weight_slices[layer]
-        return self.params[lo:hi].reshape(self.layout.weight_shapes[layer])
-
-    def bias(self, layer: int) -> np.ndarray:
-        lo, hi = self.layout.bias_slices[layer]
-        return self.params[lo:hi]
+        self.weights, self.biases = self.spec.views(self.params)
 
     def with_params(self, params: np.ndarray) -> "MlpModel":
         return MlpModel(self.spec, params)
@@ -156,14 +143,11 @@ class ForwardTrace:
 
 def init_network(spec: NetworkSpec, seed: int) -> MlpModel:
     """Glorot-uniform weights, zero biases, deterministic for a fixed seed."""
-    layout = spec.layout
     rng = np.random.default_rng(seed)
-    params = np.zeros(layout.n_params)
-    for layer, ((lo, hi), (fan_out, fan_in)) in enumerate(
-        zip(layout.weight_slices, layout.weight_shapes)
-    ):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        params[lo:hi] = rng.uniform(-bound, bound, size=hi - lo)
+    params = np.zeros(spec.n_params)
+    for w in spec.views(params)[0]:
+        bound = np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
     return MlpModel(spec, params)
 
 
@@ -194,7 +178,7 @@ def forward(model: MlpModel, X: np.ndarray) -> ForwardTrace:
     a = X
     last = model.spec.n_layers - 1
     for layer in range(model.spec.n_layers):
-        z = a @ model.weight(layer).T + model.bias(layer)
+        z = a @ model.weights[layer].T + model.biases[layer]
         zs.append(z)
         if layer < last:
             a = _activate(z, model.spec.activation)
@@ -237,7 +221,7 @@ def _backprop(
     deltas: list[np.ndarray] = [np.empty(0)] * L
     deltas[L - 1] = delta
     for layer in range(L - 2, -1, -1):
-        upstream = deltas[layer + 1] @ model.weight(layer + 1)
+        upstream = deltas[layer + 1] @ model.weights[layer + 1]
         deltas[layer] = upstream * _activate_grad(
             trace.pre_activations[layer], model.spec.activation
         )
@@ -249,12 +233,10 @@ def _batch_mean(
 ) -> np.ndarray:
     """Flat batch mean of delta x activation per weight and of delta per bias."""
     n = acts[0].shape[0]
-    out = np.zeros_like(model.params)
-    for layer in range(model.spec.n_layers):
-        lo, hi = model.layout.weight_slices[layer]
-        out[lo:hi] = (deltas[layer].T @ acts[layer]).ravel() / n
-        lo, hi = model.layout.bias_slices[layer]
-        out[lo:hi] = deltas[layer].sum(axis=0) / n
+    out = np.empty_like(model.params)
+    for delta, a, w, b in zip(deltas, acts, *model.spec.views(out)):
+        np.divide(delta.T @ a, n, out=w)
+        np.divide(delta.sum(axis=0), n, out=b)
     return out
 
 
@@ -291,7 +273,7 @@ def per_sample_scores(
         d2 = np.einsum("ij,ij->i", deltas[layer], deltas[layer])
         a2 = np.einsum("ij,ij->i", acts, acts)
         sq += d2 * (a2 + 1.0)
-    return -(deltas[0] @ model.weight(0)), np.sqrt(sq), trace.probs
+    return -(deltas[0] @ model.weights[0]), np.sqrt(sq), trace.probs
 
 
 def fisher_diagonal(model: MlpModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:

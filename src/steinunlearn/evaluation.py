@@ -64,13 +64,10 @@ def layerwise_distance(a: diffnet.MlpModel, b: diffnet.MlpModel) -> LayerwiseDis
     if a.spec != b.spec:
         raise ComparisonError(f"cannot compare specs {a.spec} and {b.spec}")
     diff = a.params - b.params
-    per_layer = np.empty(a.spec.n_layers)
-    for layer in range(a.spec.n_layers):
-        wlo, whi = a.layout.weight_slices[layer]
-        blo, bhi = a.layout.bias_slices[layer]
-        per_layer[layer] = np.sqrt(
-            float(diff[wlo:whi] @ diff[wlo:whi]) + float(diff[blo:bhi] @ diff[blo:bhi])
-        )
+    per_layer = np.array([
+        np.sqrt(float(dw.ravel() @ dw.ravel()) + float(db @ db))
+        for dw, db in zip(*a.spec.views(diff))
+    ])
     return LayerwiseDistance(per_layer, float(np.linalg.norm(diff)))
 
 

@@ -18,7 +18,7 @@ def rel_close(a, b, rtol, floor=1.0):
 def random_model(rng, sizes, activation="tanh"):
     """Model with parameters drawn uniformly in [-1, 1]."""
     spec = diffnet.NetworkSpec(tuple(sizes), activation)
-    params = rng.uniform(-1.0, 1.0, spec.layout.n_params)
+    params = rng.uniform(-1.0, 1.0, spec.n_params)
     return diffnet.MlpModel(spec, params)
 
 

@@ -83,6 +83,7 @@ BAD_CONFIGS = [
     pytest.param({"epsilon": float("nan")}, r"epsilon: expected a finite number",
                  id="nan-epsilon"),
     pytest.param({"output_dir": 5}, r"output_dir: expected a string", id="number-path"),
+    pytest.param({"output_dir": ""}, r"output_dir: must not be empty", id="empty-path"),
     pytest.param({"seeds": [0, 0]}, r"seeds\[1\]: repeats an earlier entry",
                  id="repeated-seed"),
     pytest.param({"metrics": ["PC", "PC"]}, r"metrics\[1\]: repeats an earlier entry",
@@ -587,6 +588,25 @@ class TestOverrides:
         assert cli.main(argv) == 1
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not (root / "cfg-out").exists()
+
+    @pytest.mark.parametrize("command, flag, message", [
+        pytest.param("rank", "--metrics", "metrics[0]: unknown metric", id="rank-metrics"),
+        pytest.param("score", "--metrics", "metrics[0]: unknown metric",
+                     id="score-metrics"),
+        pytest.param("experiment", "--methods", "--methods: [''] have no config block",
+                     id="experiment-methods"),
+        pytest.param("train", "--out", "output_dir: must not be empty", id="train-out"),
+        pytest.param("experiment", "--out", "output_dir: must not be empty",
+                     id="experiment-out"),
+    ])
+    def test_empty_override_is_checked_like_the_file(self, override_dir, capsys,
+                                                      command, flag, message):
+        # an empty value is a value: it must not fall back to the file's
+        root, target = override_dir
+        assert cli.main([*_command_argv(command, target), flag, ""]) == 1
+        assert message in capsys.readouterr().err
+        written = [p.name for p in root.rglob("*") if p.is_file()]
+        assert sorted(written) == ["cfg.json", "model.json"], written
 
 
 class TestFiniteOrFailed:

@@ -205,6 +205,14 @@ class TestSplitPlan:
                 test_ids=np.array([2]),
             )
 
+    def test_repeat_within_one_set_rejected(self):
+        with pytest.raises(DataError, match="an id repeats"):
+            data.SplitPlan(
+                retain_ids=np.array([1, 1, 2]),
+                forget_ids=np.empty(0, dtype=np.int64),
+                test_ids=np.array([3]),
+            )
+
 
 class TestGather:
     def test_records_access(self):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from steinunlearn import diffnet
@@ -32,6 +32,58 @@ class TestNetworkSpec:
             diffnet.NetworkSpec((2, 3), activation="sigmoid")
 
 
+@st.composite
+def network_specs(draw):
+    """2 to 4 weight layers of widths 1-9, at least 2 classes, either activation."""
+    widths = draw(st.lists(st.integers(1, 9), min_size=2, max_size=4))
+    n_classes = draw(st.integers(2, 9))
+    activation = draw(st.sampled_from(diffnet.ACTIVATIONS))
+    return diffnet.NetworkSpec((*widths, n_classes), activation)
+
+
+class TestViews:
+    @given(spec=network_specs(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_views_tile_params_in_place(self, spec, seed):
+        sizes = spec.layer_sizes
+        model = random_model(np.random.default_rng(seed), sizes, spec.activation)
+        assert [w.shape for w in model.weights] == list(zip(sizes[1:], sizes))
+        assert [b.shape for b in model.biases] == [(fan_out,) for fan_out in sizes[1:]]
+        flat = np.concatenate([w.ravel() for w in model.weights] + model.biases)
+        assert np.array_equal(flat, model.params)
+        for view in [*model.weights, *model.biases]:
+            assert np.shares_memory(view, model.params)
+
+    @given(spec=network_specs(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_init_matches_documented_layout(self, spec, seed):
+        # Glorot-uniform weights drawn layer by layer, each row-major
+        # (fan_out, fan_in), then zero biases
+        rng = np.random.default_rng(seed)
+        sizes = spec.layer_sizes
+        blocks = []
+        for fan_in, fan_out in zip(sizes, sizes[1:]):
+            bound = np.sqrt(6.0 / (fan_in + fan_out))
+            blocks.append(rng.uniform(-bound, bound, size=fan_in * fan_out))
+        blocks += [np.zeros(fan_out) for fan_out in sizes[1:]]
+        assert np.array_equal(diffnet.init_network(spec, seed).params,
+                              np.concatenate(blocks))
+
+    @given(spec=network_specs(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_grad_params_matches_finite_differences(self, spec, seed, n):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, spec.layer_sizes, spec.activation)
+        X = rng.uniform(-1, 1, (n, spec.input_dim))
+        y = rng.integers(spec.n_classes, size=n)
+        if spec.activation == "relu":
+            # central differences are only valid away from the ReLU kink
+            hidden = diffnet.forward(model, X).pre_activations[:-1]
+            assume(all(np.all(np.abs(z) > 1e-3) for z in hidden))
+        g = diffnet.grad_params(model, X, y)
+        assert rel_close(g, fd_grad_params(model, X, y), 1e-4, floor=1e-3)
+
+
 class TestInit:
     def test_param_count(self):
         model = diffnet.init_network(diffnet.NetworkSpec((2, 4, 3)), 7)
@@ -46,22 +98,22 @@ class TestInit:
     def test_weights_within_fan_bound(self):
         # every layer's weights obey the uniform bound sqrt(6 / (fan_in + fan_out))
         model = diffnet.init_network(diffnet.NetworkSpec((2, 4, 3)), 7)
-        for layer, (fan_out, fan_in) in enumerate(model.layout.weight_shapes):
+        for w in model.weights:
+            fan_out, fan_in = w.shape
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-            w = model.weight(layer)
             assert np.all(np.abs(w) < bound)
         assert np.sqrt(6.0 / 6.0) == 1.0  # first layer of [2,4,3]
 
     def test_biases_zero(self):
         model = diffnet.init_network(diffnet.NetworkSpec((3, 5, 2)), 0)
         for layer in range(model.spec.n_layers):
-            assert np.all(model.bias(layer) == 0.0)
+            assert np.all(model.biases[layer] == 0.0)
 
 
 class TestForward:
     def test_zero_params_uniform_probs(self):
         spec = diffnet.NetworkSpec((2, 4, 3))
-        model = diffnet.MlpModel(spec, np.zeros(spec.layout.n_params))
+        model = diffnet.MlpModel(spec, np.zeros(spec.n_params))
         trace = diffnet.forward(model, np.array([3.0, -1.0])[None])
         assert np.allclose(trace.probs, 1.0 / 3.0)
 
@@ -93,7 +145,7 @@ class TestForward:
 class TestNllLoss:
     def test_uniform_probs(self):
         spec = diffnet.NetworkSpec((2, 4))
-        model = diffnet.MlpModel(spec, np.zeros(spec.layout.n_params))
+        model = diffnet.MlpModel(spec, np.zeros(spec.n_params))
         trace = diffnet.forward(model, np.array([1.0, 2.0])[None])
         assert trace.nll([2])[0] == pytest.approx(np.log(4.0), rel=1e-12)
 
@@ -170,14 +222,14 @@ class TestGradInput:
     def test_linear_model_analytic(self, rng):
         # no hidden layer: grad of log p(y|x) w.r.t. x is (e_y - probs) @ W
         spec = diffnet.NetworkSpec((3, 4))
-        params = rng.uniform(-1, 1, spec.layout.n_params)
+        params = rng.uniform(-1, 1, spec.n_params)
         model = diffnet.MlpModel(spec, params)
         x = rng.normal(size=3)
         y = 2
         trace = diffnet.forward(model, x[None])
         e_y = np.zeros(4)
         e_y[y] = 1.0
-        expected = (e_y - trace.probs[0]) @ model.weight(0)
+        expected = (e_y - trace.probs[0]) @ model.weights[0]
         scores = diffnet.per_sample_scores(model, x[None], [y])[0]
         assert np.allclose(scores[0], expected, rtol=1e-12)
 

@@ -12,7 +12,7 @@ from conftest import random_model
 
 def _zero_model(sizes):
     spec = diffnet.NetworkSpec(tuple(sizes))
-    return diffnet.MlpModel(spec, np.zeros(spec.layout.n_params))
+    return diffnet.MlpModel(spec, np.zeros(spec.n_params))
 
 
 class TestAccuracy:
@@ -64,10 +64,8 @@ class TestLayerwiseDistance:
 
     def test_single_bias_perturbation(self, rng):
         model = random_model(rng, (2, 4, 3))
-        perturbed = model.copy()
-        lo, _ = perturbed.layout.bias_slices[1]
-        new_params = perturbed.params.copy()
-        new_params[lo] += 3.0
+        new_params = model.params.copy()
+        model.spec.views(new_params)[1][1][0] += 3.0
         perturbed = model.with_params(new_params)
         d = evaluation.layerwise_distance(model, perturbed)
         assert d.per_layer[0] == 0.0
@@ -121,9 +119,8 @@ class TestActivationDistance:
     def test_final_layer_change_invisible(self, rng):
         # doubling an output-layer weight leaves hidden activations alone
         model = random_model(rng, (2, 4, 3))
-        lo, hi = model.layout.weight_slices[-1]
         new_params = model.params.copy()
-        new_params[lo:hi] *= 2.0
+        model.spec.views(new_params)[0][-1][...] *= 2.0
         changed = model.with_params(new_params)
         probe = rng.normal(size=(8, 2))
         assert _activation_distance(model, changed, probe) == 0.0

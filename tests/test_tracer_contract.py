@@ -8,14 +8,18 @@ through `perfbench/child.py` in a subprocess, so the wrappers never reach
 the functions other tests call.
 """
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 from steinunlearn.config import ExperimentConfig
 from steinunlearn.data import split
+from steinunlearn.scoring import METRICS
 
 from test_golden import golden_config_dict
 
@@ -28,6 +32,47 @@ METHOD_SPANS = {
     "fisher": "unlearn.fisher_forget",
     "retrain": "unlearn.retrain",
 }
+
+# Names the tracer still lists but the package no longer defines. Each one
+# reads 0 in a traced run; drop it here when the tracer stops listing it.
+STALE_TRACER_NAMES = {f"diffnet.{name}" for name in (
+    "mean_nll", "predict_probs", "input_scores", "per_sample_grad_norms",
+    "hidden_activations",
+)}
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", REPO / "perfbench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def _resolves(name):
+    """Whether a span name is `layer.function`, a public function the tracer
+    wraps, or `scoring.compute_metric.<metric>`, the span of one metric."""
+    layer, function, *label = name.split(".")
+    try:
+        module = importlib.import_module(f"steinunlearn.{layer}")
+    except ModuleNotFoundError:
+        return False
+    fn = getattr(module, function, None)
+    if not (isinstance(fn, types.FunctionType) and fn.__module__ == module.__name__
+            and not function.startswith("_")):
+        return False
+    return not label or (name.rpartition(".")[0] == "scoring.compute_metric"
+                         and label[0] in METRICS)
+
+
+def test_tracer_names_resolve_to_package_functions():
+    tracer = _load_tracer()
+    names = set(tracer.TIMED_SPANS) | set(tracer.FORWARD_FUNCTIONS)
+    # the known-stale set may only shrink, and can never hide a live name
+    assert STALE_TRACER_NAMES <= names
+    assert not any(_resolves(name) for name in STALE_TRACER_NAMES)
+    assert sorted(n for n in names - STALE_TRACER_NAMES if not _resolves(n)) == []
 
 
 def test_traced_experiment_counts_kernel_entries_and_ascent_steps(tmp_path):
