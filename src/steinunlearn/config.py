@@ -231,6 +231,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
     return ExperimentConfig.from_dict(raw)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
@@ -101,7 +102,11 @@ def make_blobs(
 def load_csv(path: str | Path, label_column: str) -> LabeledDataset:
     """Load a headed numeric CSV; ids are assigned by data-row index."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -179,6 +184,8 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> LabeledDataset
             f"{images_path}: bad magic 0x{img_magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}"
         )
     n_img, rows, cols = struct.unpack(">III", _read_exact(images_path, img_blob, 4, 12))
+    if n_img == 0:
+        raise DataError(f"{images_path}: empty dataset (no images)")
     pixels = _read_exact(images_path, img_blob, 16, n_img * rows * cols)
 
     (lab_magic,) = struct.unpack(">I", _read_exact(labels_path, lab_blob, 0, 4))

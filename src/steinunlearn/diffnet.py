@@ -84,9 +84,9 @@ class NetworkSpec:
 class MlpModel:
     """Architecture spec plus one flat parameter vector.
 
-    Treat instances as immutable; operations that change parameters return
-    a new model built around a fresh vector. weights and biases are the
-    spec's per-layer views into params.
+    Treat instances as immutable, except that train and grad_ascent step
+    the working copy they made in place. weights and biases are the spec's
+    per-layer views into params, so they follow every such step.
     """
 
     spec: NetworkSpec
@@ -284,8 +284,8 @@ def fisher_diagonal(model: MlpModel, X: np.ndarray, y: np.ndarray) -> np.ndarray
     )
 
 
-# overflow in a diverging run surfaces as non-finite parameters, which
-# with_params rejects on every step
+# only the run that made this working copy steps it in place; overflow in a
+# diverging run surfaces as non-finite parameters, checked after every step
 @np.errstate(over="ignore", invalid="ignore")
 def train(
     model: MlpModel,
@@ -301,9 +301,9 @@ def train(
 
     Deterministic for fixed (model, data, hyperparameters, seed). epochs=0
     returns an identical copy. on_epoch, when given, is called with
-    (epoch_index, model) after each epoch; it observes but cannot alter
-    the run. A step that makes a parameter non-finite raises NumericalError
-    naming its epoch and batch step.
+    (epoch_index, snapshot) after each epoch; the snapshot is a copy, so
+    it observes but cannot alter the run. A step that makes a parameter
+    non-finite raises NumericalError naming its epoch and batch step.
     """
     if lr <= 0:
         raise ConfigurationError(f"learning rate must be positive, got {lr}")
@@ -320,13 +320,12 @@ def train(
         perm = rng.permutation(n)
         for step, start in enumerate(range(0, n, batch_size)):
             idx = perm[start : start + batch_size]
-            g = grad_params(current, X[idx], y[idx])
-            try:
-                current = current.with_params(current.params - lr * g)
-            except NumericalError as exc:
+            current.params -= lr * grad_params(current, X[idx], y[idx])
+            if not np.isfinite(current.params).all():
                 raise NumericalError(
-                    f"SGD diverged at epoch {epoch}, batch step {step}: {exc}"
-                ) from exc
+                    f"SGD diverged at epoch {epoch}, batch step {step}: "
+                    "parameter vector contains non-finite entries"
+                )
         if on_epoch is not None:
-            on_epoch(epoch, current)
+            on_epoch(epoch, current.copy())
     return current

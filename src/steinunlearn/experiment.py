@@ -20,7 +20,7 @@ from . import diffnet, scoring, stein, unlearn
 from .config import ExperimentConfig
 from .data import LabeledDataset, SplitPlan, gather, split
 from .errors import (
-    ConfigurationError, DataError, NumericalError, SteinUnlearnError,
+    ConfigurationError, DataError, NumericalError, ShapeError, SteinUnlearnError,
 )
 from .evaluation import UnlearnReport, accuracy, verdict
 
@@ -278,6 +278,13 @@ def write_model_json(model: diffnet.MlpModel, path: str | Path) -> None:
     )
 
 
+def _is_number_list(value, types) -> bool:
+    """Whether value is a JSON list of numbers of the given types; a bool is none."""
+    return isinstance(value, list) and all(
+        isinstance(v, types) and not isinstance(v, bool) for v in value
+    )
+
+
 def read_model_json(path: str | Path) -> diffnet.MlpModel:
     """Load a model written by write_model_json; DataError names what is wrong."""
     try:
@@ -287,17 +294,15 @@ def read_model_json(path: str | Path) -> diffnet.MlpModel:
     for key in ("layer_sizes", "activation", "params"):
         if not isinstance(obj, dict) or key not in obj:
             raise DataError(f"{path}: not a model file: no {key!r} field")
-    sizes = obj["layer_sizes"]
-    if not isinstance(sizes, list) or not all(
-        isinstance(s, int) and not isinstance(s, bool) for s in sizes
-    ):
+    if not _is_number_list(obj["layer_sizes"], int):
         raise DataError(f"{path}: layer_sizes: expected a list of integers")
     try:
-        spec = diffnet.NetworkSpec(tuple(sizes), obj["activation"])
+        spec = diffnet.NetworkSpec(tuple(obj["layer_sizes"]), obj["activation"])
     except ConfigurationError as exc:
         raise DataError(f"{path}: {exc}") from exc
+    if not _is_number_list(obj["params"], (int, float)):
+        raise DataError(f"{path}: params: expected a list of numbers")
     try:
-        params = np.asarray(obj["params"], dtype=np.float64)
-        return diffnet.MlpModel(spec, params)
-    except (TypeError, ValueError, NumericalError) as exc:
+        return diffnet.MlpModel(spec, np.asarray(obj["params"], dtype=np.float64))
+    except (OverflowError, ShapeError, NumericalError) as exc:
         raise DataError(f"{path}: params: {exc}") from exc

@@ -35,16 +35,15 @@ DEFAULT_ENTROPY_FLOOR = 1e-6
 
 @dataclass
 class DifficultyRanking:
-    """Scores plus the induced easiest-to-hardest ordering of sample ids."""
+    """Scores plus the induced easiest-to-hardest ordering of sample ids.
+
+    Built by rank, whose lexsort makes easy_to_hard a permutation of sample_ids.
+    """
 
     metric: str
     scores: np.ndarray
     easy_to_hard: np.ndarray
     sample_ids: np.ndarray
-
-    def __post_init__(self) -> None:
-        if sorted(self.easy_to_hard.tolist()) != sorted(self.sample_ids.tolist()):
-            raise DataError("easy_to_hard must be a permutation of the sample ids")
 
     def easiest(self, k: int) -> np.ndarray:
         return self.easy_to_hard[:k]

@@ -100,13 +100,12 @@ def grad_ascent(
                 )
             if loss >= cfg.overfit_threshold:
                 break
-            try:
-                current = current.with_params(current.params + cfg.lr * g)
-            except NumericalError as exc:
+            current.params += cfg.lr * g
+            if not np.isfinite(current.params).all():
                 raise NumericalError(
                     f"gradient ascent diverged to non-finite parameters; "
                     f"last finite step was {steps}"
-                ) from exc
+                )
             steps += 1
     return UnlearnOutcome(current, steps)
 

@@ -37,6 +37,24 @@ def fd_grad_params(model, X, y, h=1e-5):
     return grad
 
 
+def sgd_epoch_params(model, X, y, lr, epochs, batch_size, seed):
+    """Per-epoch params of seeded mini-batch SGD that rebuilds the model each step.
+
+    The reference for diffnet.train: the same shuffles and the same update,
+    but every step builds a new model around params - lr * grad.
+    """
+    rng = np.random.default_rng(seed)
+    per_epoch = []
+    for _ in range(epochs):
+        perm = rng.permutation(X.shape[0])
+        for start in range(0, X.shape[0], batch_size):
+            idx = perm[start : start + batch_size]
+            g = diffnet.grad_params(model, X[idx], y[idx])
+            model = model.with_params(model.params - lr * g)
+        per_epoch.append(model.params)
+    return per_epoch
+
+
 def fd_grad_input(model, x, y, h=1e-5):
     """Central-difference gradient of log p(y | x) w.r.t. the input."""
 
@@ -117,3 +135,25 @@ def ksd_statistic(m, mode="u_stat"):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def models_built(monkeypatch):
+    """A function that calls fn() and returns (MlpModels it constructed, result)."""
+    count = 0
+    post_init = diffnet.MlpModel.__post_init__
+
+    def counting(self):
+        nonlocal count
+        count += 1
+        post_init(self)
+
+    monkeypatch.setattr(diffnet.MlpModel, "__post_init__", counting)
+
+    def run(fn):
+        nonlocal count
+        count = 0
+        result = fn()
+        return count, result
+
+    return run

@@ -414,7 +414,15 @@ BAD_MODEL_FILES = [
     pytest.param(json.dumps(_MINI), r"not a model file: no 'layer_sizes' field",
                  id="config-file"),
     pytest.param(json.dumps({**_MODEL_SPEC, "params": ["a"] * 51}),
-                 r"params: could not convert", id="string-params"),
+                 r"params: expected a list of numbers", id="string-params"),
+    pytest.param(json.dumps({**_MODEL_SPEC, "params": ["0.5"] + [0.0] * 50}),
+                 r"params: expected a list of numbers", id="string-param"),
+    pytest.param(json.dumps({**_MODEL_SPEC, "params": [True] + [0.0] * 50}),
+                 r"params: expected a list of numbers", id="bool-param"),
+    pytest.param(json.dumps({**_MODEL_SPEC, "params": [10**400] + [0.0] * 50}),
+                 r"params: int too large to convert to float", id="huge-int-param"),
+    pytest.param(json.dumps({**_MODEL_SPEC, "params": [0.0] * 50}),
+                 r"params: expected 51 parameters", id="short-params"),
     pytest.param(json.dumps({**_MODEL_SPEC, "layer_sizes": ["a", 3], "params": []}),
                  r"layer_sizes: expected a list of integers", id="string-layer-size"),
     pytest.param(json.dumps({**_MODEL_SPEC, "layer_sizes": [2.9, 8, 3],
@@ -470,6 +478,21 @@ class TestBadCommandInput:
             code = cli.main(["score", "--config", str(cfg_path), "--model", str(model)])
         assert code == 1
         assert "error: kernel matrix contains non-finite values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["config", "dataset"])
+    def test_non_utf8_file_exits_1(self, tmp_path, capsys, target):
+        # UTF-16 text, which starts with the byte order mark ff fe
+        bad = tmp_path / "utf16.txt"
+        bad.write_text("x,label\n1.0,0\n", encoding="utf-16")
+        cfg_path = bad
+        if target == "dataset":
+            cfg_path = write_config(
+                tmp_path, output_dir=str(tmp_path / "out"),
+                dataset={"type": "csv", "path": str(bad), "label_column": "label"},
+            )
+        assert cli.main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: not UTF-8 text" in err and "Traceback" not in err, err
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["rank", "--bogus"], id="unknown-flag"),

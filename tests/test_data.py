@@ -125,6 +125,13 @@ class TestLoadIdx:
         with pytest.raises(DataError, match="mismatch"):
             data.load_idx(img_path, lab_path)
 
+    def test_empty_pair(self, tmp_path):
+        images = np.zeros((0, 2, 2), dtype=np.uint8)
+        img_path, lab_path = _write_idx_pair(tmp_path, images, np.zeros(0))
+        text = f"{img_path}: empty dataset (no images)"
+        with pytest.raises(DataError, match=f"^{re.escape(text)}$"):
+            data.load_idx(img_path, lab_path)
+
     def test_truncated_file(self, tmp_path):
         images = np.zeros((2, 3, 3), dtype=np.uint8)
         img_path, lab_path = _write_idx_pair(tmp_path, images, np.zeros(2))

@@ -1,5 +1,7 @@
 """Network engine: initialization, forward, losses, gradients, training."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +13,9 @@ from steinunlearn.errors import (
     ConfigurationError, LabelError, NumericalError, ShapeError,
 )
 
-from conftest import fd_grad_input, fd_grad_params, random_model, rel_close
+from conftest import (
+    fd_grad_input, fd_grad_params, random_model, rel_close, sgd_epoch_params,
+)
 
 
 class TestNetworkSpec:
@@ -265,9 +269,45 @@ class TestTrain:
     def test_divergence_raises_numerical_error_naming_step(self):
         ds = make_blobs(30, np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]), 0.8, 0)
         model = diffnet.init_network(diffnet.NetworkSpec((2, 8, 3)), 0)
-        with pytest.raises(NumericalError, match="epoch 0, batch step"):
+        text = ("SGD diverged at epoch 0, batch step 1: "
+                "parameter vector contains non-finite entries")
+        with pytest.raises(NumericalError, match=f"^{re.escape(text)}$"):
             diffnet.train(model, ds.features, ds.labels, lr=1e200, epochs=3,
                           batch_size=16, seed=0)
+
+    @pytest.mark.parametrize("epochs", [0, 1, 6])
+    def test_builds_one_model_for_any_epoch_count(self, rng, models_built, epochs):
+        # one working copy, stepped in place: no model per SGD step
+        model = random_model(rng, (2, 4, 3))
+        X = rng.normal(size=(20, 2))
+        y = rng.integers(0, 3, 20)
+        built, _ = models_built(lambda: diffnet.train(
+            model, X, y, lr=0.05, epochs=epochs, batch_size=4, seed=0))
+        assert built == 1
+
+    def test_leaves_input_model_unchanged(self, rng):
+        model = random_model(rng, (2, 4, 3))
+        before = model.params.copy()
+        out = diffnet.train(model, rng.normal(size=(20, 2)), rng.integers(0, 3, 20),
+                            lr=0.05, epochs=3, batch_size=4, seed=0)
+        assert np.array_equal(model.params, before)
+        assert not np.shares_memory(out.params, model.params)
+
+    def test_epoch_snapshots_match_rebuilding_oracle(self):
+        ds = make_blobs(20, np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]), 0.8, 0)
+        model = diffnet.init_network(diffnet.NetworkSpec((2, 8, 3)), 0)
+        snapshots = []
+        out = diffnet.train(
+            model, ds.features, ds.labels, lr=0.05, epochs=5, batch_size=16, seed=1,
+            on_epoch=lambda epoch, snap: snapshots.append((epoch, snap)),
+        )
+        expected = sgd_epoch_params(model, ds.features, ds.labels, 0.05, 5, 16, 1)
+        # each snapshot was stored as given, so later steps must not reach it
+        assert [epoch for epoch, _ in snapshots] == list(range(5))
+        assert [snap.params.tobytes() for _, snap in snapshots] == [
+            p.tobytes() for p in expected
+        ]
+        assert out.params.tobytes() == expected[-1].tobytes()
 
     def test_single_step_decreases_sample_nll(self):
         # one tiny SGD step on a single sample must lower that sample's loss

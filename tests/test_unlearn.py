@@ -1,11 +1,13 @@
 """Unlearning methods: stopping rules, isolation from the forget set, noise law."""
 
+import re
+
 import numpy as np
 import pytest
 
 from steinunlearn import diffnet, stein, unlearn
 from steinunlearn.data import AccessLog, make_blobs, split
-from steinunlearn.errors import ArgumentError, ConfigurationError
+from steinunlearn.errors import ArgumentError, ConfigurationError, NumericalError
 
 from conftest import random_model
 
@@ -107,14 +109,51 @@ class TestGradAscent:
         assert a.steps_taken == b.steps_taken
 
     def test_divergence_reports_last_finite_step(self, trained_blobs):
-        from steinunlearn.errors import NumericalError
-
         ds, plan, model = trained_blobs
         cfg = unlearn.UnlearnConfig(
             method="grad_ascent", lr=1e12, epochs=200, overfit_threshold=1e308
         )
-        with pytest.raises(NumericalError, match="last finite step"):
+        text = "gradient ascent diverged to a non-finite loss; last finite step was 13"
+        with pytest.raises(NumericalError, match=f"^{re.escape(text)}$"):
             unlearn.grad_ascent(model, ds, plan.with_forget(plan.train_ids[:1]), cfg)
+
+    def test_overflowing_step_reports_non_finite_parameters(self):
+        # a zero model at loss log 2 whose weight gradient is about +-2.46, so
+        # the first step of lr 1e308 overflows the parameters
+        ds = make_blobs(5, np.array([[0.0], [10.0]]), std=0.5, seed=0)
+        plan = split(ds, 0.2, seed=0)
+        model = diffnet.MlpModel(diffnet.NetworkSpec((1, 2)), np.zeros(4))
+        cfg = unlearn.UnlearnConfig(
+            method="grad_ascent", lr=1e308, epochs=5, overfit_threshold=1e308
+        )
+        text = ("gradient ascent diverged to non-finite parameters; "
+                "last finite step was 0")
+        with pytest.raises(NumericalError, match=f"^{re.escape(text)}$"):
+            unlearn.grad_ascent(model, ds, plan.with_forget(plan.train_ids), cfg)
+
+    @pytest.mark.parametrize("epochs", [0, 1, 8])
+    def test_builds_one_model_for_any_step_count(self, trained_blobs, models_built,
+                                                  epochs):
+        # one working copy, stepped in place: no model per ascent step
+        ds, plan, model = trained_blobs
+        cfg = unlearn.UnlearnConfig(
+            method="grad_ascent", lr=1e-3, epochs=epochs, overfit_threshold=1e9
+        )
+        forget = plan.with_forget(plan.train_ids[:2])
+        built, out = models_built(lambda: unlearn.grad_ascent(model, ds, forget, cfg))
+        assert built == 1
+        assert out.steps_taken == epochs
+
+    def test_leaves_input_model_unchanged(self, trained_blobs):
+        ds, plan, model = trained_blobs
+        before = model.params.copy()
+        cfg = unlearn.UnlearnConfig(
+            method="grad_ascent", lr=0.05, epochs=10, overfit_threshold=1e9
+        )
+        out = unlearn.grad_ascent(model, ds, plan.with_forget(plan.train_ids[:2]), cfg)
+        assert out.steps_taken == 10
+        assert np.array_equal(model.params, before)
+        assert not np.shares_memory(out.unlearned.params, model.params)
 
 
 class TestFineTune:
