@@ -176,7 +176,9 @@ def cmd_experiment(config: ExperimentConfig) -> int:
     exp.write_report_csv(rows, out / "report.csv")
     exp.write_reports_jsonl(rows, out / "reports.jsonl")
     exp.write_aggregate_csv(exp.aggregate_rows(rows), out / "aggregate.csv")
-    (out / "config.json").write_text(dump_config(config), encoding="utf-8")
+    (out / "config.json").write_text(
+        dump_config(config), encoding="utf-8", newline="\n"
+    )
     failures = sum(1 for r in rows if r.status != "ok")
     print(f"{len(rows)} runs, {failures} failed -> {out / 'report.csv'}")
     return EXIT_PARTIAL if failures else EXIT_OK

@@ -230,7 +230,8 @@ def _canonical(value):
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        # utf-8-sig also reads a file that starts with a byte-order mark
+        raw = json.loads(path.read_text(encoding="utf-8-sig"))
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import struct
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -15,6 +17,8 @@ from .errors import ArgumentError, ConfigurationError, DataError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+# The largest class label a dataset can hold: labels are stored as int64.
+LABEL_MAX = np.iinfo(np.int64).max
 
 
 class AccessLog:
@@ -44,7 +48,7 @@ class LabeledDataset:
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.ids = np.asarray(self.ids, dtype=np.int64)
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
+        if self.features.ndim != 2 or 0 in self.features.shape:
             raise DataError(f"features must be a non-empty 2-D matrix, got shape "
                             f"{self.features.shape}")
         n = self.features.shape[0]
@@ -103,7 +107,8 @@ def load_csv(path: str | Path, label_column: str) -> LabeledDataset:
     """Load a headed numeric CSV; ids are assigned by data-row index."""
     path = Path(path)
     try:
-        text = path.read_bytes().decode("utf-8")
+        # utf-8-sig also reads a file that starts with a byte-order mark
+        text = path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from None
     with io.StringIO(text, newline="") as fh:
@@ -119,6 +124,8 @@ def load_csv(path: str | Path, label_column: str) -> LabeledDataset:
             )
         label_idx = header.index(label_column)
         feature_names = [h for i, h in enumerate(header) if i != label_idx]
+        if not feature_names:
+            raise DataError(f"{path}: no feature columns besides {label_column!r}")
 
         rows: list[list[float]] = []
         labels: list[int] = []
@@ -132,12 +139,18 @@ def load_csv(path: str | Path, label_column: str) -> LabeledDataset:
                 name = header[col_idx]
                 if col_idx == label_idx:
                     try:
-                        labels.append(int(cell))
+                        label = int(cell)
                     except ValueError:
                         raise DataError(
                             f"{path}: row {row_idx}, column {name!r}: "
                             f"label {cell!r} is not an integer"
                         ) from None
+                    if not 0 <= label <= LABEL_MAX:
+                        raise DataError(
+                            f"{path}: row {row_idx}, column {name!r}: "
+                            f"label {cell!r} is not in [0, {LABEL_MAX}]"
+                        )
+                    labels.append(label)
                 else:
                     try:
                         feats.append(float(cell))
@@ -156,12 +169,27 @@ def load_csv(path: str | Path, label_column: str) -> LabeledDataset:
         raise DataError(
             f"{path}: row {bad[0]}, column {feature_names[bad[1]]!r}: non-finite value"
         )
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    if labels_arr.min() < 0:
-        raise DataError(f"{path}: negative class label {labels_arr.min()}")
-    return LabeledDataset(
-        features, labels_arr, np.arange(len(rows)), int(labels_arr.max()) + 1
-    )
+    return LabeledDataset(features, labels, np.arange(len(rows)), max(labels) + 1)
+
+
+def write_csv(path: str | Path, header: Iterable, rows: Iterable[Iterable]) -> None:
+    """Write a CSV artifact: UTF-8, "\\n" line ends and the csv module's quoting.
+
+    Cells must be Python scalars: csv writes a float as str(float), its
+    shortest repr, which float() reads back bit for bit. Rows are written as
+    they are drawn, so an iterator of rows is never held whole.
+    """
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json_lines(path: str | Path, objects: Iterable[dict]) -> None:
+    """Write a JSON-lines artifact: UTF-8, one sorted-key object per "\\n"-ended line."""
+    with Path(path).open("w", newline="\n", encoding="utf-8") as fh:
+        for obj in objects:
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def _read_exact(path: Path, blob: bytes, offset: int, count: int) -> bytes:

@@ -8,7 +8,6 @@ produced in run-key order and failures are isolated per row.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from itertools import product
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import diffnet, scoring, stein, unlearn
 from .config import ExperimentConfig
-from .data import LabeledDataset, SplitPlan, gather, split
+from .data import LabeledDataset, SplitPlan, gather, split, write_csv, write_json_lines
 from .errors import (
     ConfigurationError, DataError, NumericalError, ShapeError, SteinUnlearnError,
 )
@@ -85,6 +84,17 @@ def train_model(
 ) -> tuple[LabeledDataset, SplitPlan, diffnet.MlpModel, list[dict]]:
     """Build the dataset and split, and train the base model with its log."""
     ds = config.dataset.build(seed)
+    sizes = config.network.layer_sizes
+    if sizes[0] != ds.features.shape[1]:
+        raise ConfigurationError(
+            f"network.layer_sizes: input size {sizes[0]} differs from the "
+            f"dataset's {ds.features.shape[1]} features"
+        )
+    if sizes[-1] < ds.n_classes:
+        raise ConfigurationError(
+            f"network.layer_sizes: output size {sizes[-1]} is less than the "
+            f"dataset's {ds.n_classes} classes"
+        )
     plan = split(ds, config.test_fraction, seed)
     model = diffnet.init_network(config.network, seed)
 
@@ -225,57 +235,36 @@ def aggregate_rows(rows: list[RunRow]) -> list[dict]:
 
 
 def write_report_csv(rows: list[RunRow], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REPORT_CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(row.to_csv_values())
+    write_csv(path, REPORT_CSV_COLUMNS, (row.to_csv_values() for row in rows))
 
 
 def write_reports_jsonl(rows: list[RunRow], path: str | Path) -> None:
     """One JSON object per run, in row order."""
-    lines = []
-    for row in rows:
-        obj = {**vars(row),
-               "report": vars(row.report) if row.report else None}
-        lines.append(json.dumps(obj, sort_keys=True))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_json_lines(path, (
+        {**vars(row), "report": vars(row.report) if row.report else None}
+        for row in rows
+    ))
 
 
 def write_aggregate_csv(aggregates: list[dict], path: str | Path) -> None:
+    """The aggregates as CSV; an empty file when no row succeeded."""
     if not aggregates:
         Path(path).write_text("", encoding="utf-8")
         return
-    columns = list(aggregates[0].keys())
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for agg in aggregates:
-            writer.writerow(
-                [repr(v) if isinstance(v, float) else v
-                 for v in (agg[c] for c in columns)]
-            )
+    write_csv(path, aggregates[0].keys(), (agg.values() for agg in aggregates))
 
 
 def write_train_log_csv(log: list[dict], path: str | Path) -> None:
-    lines = ["epoch,train_loss,train_acc"]
-    for entry in log:
-        lines.append(
-            f"{entry['epoch']},{repr(float(entry['train_loss']))},"
-            f"{repr(float(entry['train_acc']))}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    columns = ("epoch", "train_loss", "train_acc")
+    write_csv(path, columns, ([entry[c] for c in columns] for entry in log))
 
 
 def write_model_json(model: diffnet.MlpModel, path: str | Path) -> None:
-    obj = {
+    write_json_lines(path, [{
         "layer_sizes": list(model.spec.layer_sizes),
         "activation": model.spec.activation,
-        "params": [float(v) for v in model.params],
-    }
-    Path(path).write_text(
-        json.dumps(obj, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-    )
+        "params": model.params.tolist(),
+    }])
 
 
 def _is_number_list(value, types) -> bool:

@@ -8,12 +8,12 @@ carries its own orientation so callers cannot silently invert a ranking.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .data import write_csv
 from .errors import ArgumentError, ConfigurationError, DataError
 from .stein import ScoreTable, SteinKernelMatrix
 
@@ -182,12 +182,9 @@ def compute_metric(
 
 def rankings_to_csv(rankings: list[DifficultyRanking], path: str | Path) -> None:
     """One row per (sample, metric): sample_id, metric, score, rank_easy_to_hard."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", "metric", "score", "rank_easy_to_hard"])
-        for ranking in rankings:
-            position = {int(sid): r for r, sid in enumerate(ranking.easy_to_hard)}
-            for sid, score in zip(ranking.sample_ids, ranking.scores):
-                writer.writerow(
-                    [int(sid), ranking.metric, repr(float(score)), position[int(sid)]]
-                )
+    rows = []
+    for ranking in rankings:
+        position = {sid: r for r, sid in enumerate(ranking.easy_to_hard.tolist())}
+        rows += ([sid, ranking.metric, score, position[sid]] for sid, score
+                 in zip(ranking.sample_ids.tolist(), ranking.scores.tolist()))
+    write_csv(path, ("sample_id", "metric", "score", "rank_easy_to_hard"), rows)

@@ -9,7 +9,6 @@ rows, so analytic densities can be checked directly.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,12 +16,18 @@ import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from . import diffnet
+from .data import write_csv
 from .errors import ArgumentError, ConfigurationError, DataError, ShapeError
 
 
 @dataclass
 class ScoreTable:
-    """Per-sample input-space scores, parameter-gradient norms, and predicted probs."""
+    """Per-sample input-space scores, parameter-gradient norms, and predicted probs.
+
+    score_table builds it from one backprop: the fields share one sample
+    count, the norms are square roots and each probs row is a softmax, so
+    only finiteness is checked here.
+    """
 
     input_scores: np.ndarray      # (n, d), row i = grad_x log p(y_i | x_i)
     param_grad_norms: np.ndarray  # (n,), L2 norm of the parameter-space gradient
@@ -30,22 +35,9 @@ class ScoreTable:
     sample_ids: np.ndarray
 
     def __post_init__(self) -> None:
-        self.input_scores = np.asarray(self.input_scores, dtype=np.float64)
-        self.param_grad_norms = np.asarray(self.param_grad_norms, dtype=np.float64)
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        self.sample_ids = np.asarray(self.sample_ids, dtype=np.int64)
-        n = self.input_scores.shape[0]
-        if self.param_grad_norms.shape != (n,) or self.probs.shape[0] != n:
-            raise ShapeError("score table fields disagree on sample count")
         for arr in (self.input_scores, self.param_grad_norms, self.probs):
             if not np.all(np.isfinite(arr)):
                 raise DataError("score table contains non-finite entries")
-        if np.any(self.param_grad_norms < 0):
-            raise DataError("gradient norms must be nonnegative")
-        if np.any(self.probs < 0) or np.any(
-            np.abs(self.probs.sum(axis=1) - 1.0) > 1e-8
-        ):
-            raise DataError("probability rows must lie on the simplex")
 
     @property
     def n(self) -> int:
@@ -56,19 +48,15 @@ class ScoreTable:
 class SteinKernelMatrix:
     """Matrix of Stein kernel values over sample ids.
 
-    `stein_kernel_matrix` mirrors its upper triangle, so the matrices it
-    builds are exactly symmetric; that is not re-checked here.
+    `stein_kernel_matrix` builds an n x n float matrix over n ids and
+    mirrors its upper triangle, so the matrices it builds are square and
+    exactly symmetric; that is not re-checked here.
     """
 
     values: np.ndarray
     sample_ids: np.ndarray
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.sample_ids = np.asarray(self.sample_ids, dtype=np.int64)
-        n = self.values.shape[0]
-        if self.values.shape != (n, n) or self.sample_ids.shape != (n,):
-            raise ShapeError(f"kernel matrix must be square, got {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
             raise DataError("kernel matrix contains non-finite values")
         if np.any(np.diag(self.values) <= 0):
@@ -155,8 +143,4 @@ def stein_kernel_matrix(
 
 def kernel_matrix_to_csv(m: SteinKernelMatrix, path: str | Path) -> None:
     """Row-major CSV dump with sample ids as header, for external plotting."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([str(int(i)) for i in m.sample_ids])
-        for row in m.values:
-            writer.writerow([repr(float(v)) for v in row])
+    write_csv(path, m.sample_ids.tolist(), (row.tolist() for row in m.values))

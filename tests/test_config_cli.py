@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import re
+import struct
 import tempfile
 import warnings
 import weakref
@@ -151,6 +152,13 @@ class TestConfigValidation:
         assert cli.main(["experiment", "--config", str(path)]) == 1
         assert re.search(match, capsys.readouterr().err)
 
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        plain.write_text(json.dumps(mini_config_dict()), encoding="utf-8")
+        marked.write_text(json.dumps(mini_config_dict()), encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_config(marked) == load_config(plain)
+
     def test_method_numbers_canonicalise_as_floats(self):
         as_int = mini_config_dict(methods=[{**_GA, "lr": 1}])
         as_float = mini_config_dict(methods=[{**_GA, "lr": 1.0}])
@@ -237,7 +245,66 @@ class TestScoreCommand:
         assert (tmp_path / "out" / "kernel-s0.csv").read_bytes() == k1
 
 
+# Each case: a network that does not fit mini_config_dict's 2-D, 3-class
+# blobs, and the error that names it.
+NETWORK_MISFITS = [
+    pytest.param([5, 8, 3],
+                 "network.layer_sizes: input size 5 differs from the dataset's 2 features",
+                 id="input-size"),
+    pytest.param([2, 8, 2],
+                 "network.layer_sizes: output size 2 is less than the dataset's "
+                 "3 classes", id="output-size"),
+]
+
+
+class TestNetworkFitsDataset:
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    @pytest.mark.parametrize("layer_sizes, message", NETWORK_MISFITS)
+    def test_misfit_exits_1_naming_the_field(self, tmp_path, capsys, command,
+                                             layer_sizes, message):
+        cfg_path = write_config(
+            tmp_path, output_dir=str(tmp_path / "out"),
+            network={"layer_sizes": layer_sizes, "activation": "relu"},
+        )
+        assert cli.main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n", err
+
+    def test_wider_output_layer_trains(self, tmp_path):
+        cfg_path = write_config(
+            tmp_path, output_dir=str(tmp_path / "out"),
+            network={"layer_sizes": [2, 8, 4], "activation": "relu"},
+        )
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+
+
+def _write_idx_dataset(tmp_path, n_per_class=12, side=2):
+    """An IDX image/label pair of 3 classes told apart by pixel brightness."""
+    rng = np.random.default_rng(0)
+    labels = np.repeat(np.arange(3, dtype=np.uint8), n_per_class)
+    pixels = 40 + 80 * labels[:, None] + rng.integers(0, 30, (labels.size, side * side))
+    images, label_file = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images.write_bytes(struct.pack(">IIII", 0x803, labels.size, side, side)
+                       + pixels.astype(np.uint8).tobytes())
+    label_file.write_bytes(struct.pack(">II", 0x801, labels.size) + labels.tobytes())
+    return {"type": "idx", "images": str(images), "labels": str(label_file)}
+
+
 class TestExperimentCommand:
+    @pytest.mark.parametrize("dataset", ["idx", "standardized-blobs"])
+    def test_dataset_variant_runs_every_row(self, tmp_path, dataset):
+        if dataset == "idx":
+            overrides = {"dataset": _write_idx_dataset(tmp_path),
+                         "network": {"layer_sizes": [4, 8, 3], "activation": "relu"}}
+        else:
+            overrides = {"dataset": {**_MINI["dataset"], "standardize": True}}
+        cfg_path = write_config(tmp_path, output_dir=str(tmp_path / "out"),
+                                top_k_each_end=2, **overrides)
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 0
+        with (tmp_path / "out" / "report.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["status"] for row in rows] == ["ok"] * 4
+
     def test_row_cardinality(self, tmp_path):
         cfg_path = write_config(tmp_path, output_dir=str(tmp_path / "out"))
         assert cli.main(["experiment", "--config", str(cfg_path)]) == 0

@@ -1,15 +1,38 @@
 """Dataset generation, loaders, and split management."""
 
+import csv
+import json
 import re
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from steinunlearn import data
+from steinunlearn import cli, data
 from steinunlearn.errors import ArgumentError, ConfigurationError, DataError
+
+from test_golden import golden_config_dict
+
+# Each case: the text of a CSV file whose label column is "label", and the
+# error load_csv must raise after "<path>: ".
+BAD_CSV_FILES = [
+    pytest.param("", "empty dataset (no header)", id="no-header"),
+    pytest.param("a,label\n1.0,0\n2.0\n", "row 1 has 1 cells, expected 2",
+                 id="short-row"),
+    pytest.param("a,label\n1.0,0.5\n",
+                 "row 0, column 'label': label '0.5' is not an integer",
+                 id="fractional-label"),
+    pytest.param("a,label\n1.0,0\n2.0,-1\n",
+                 "row 1, column 'label': label '-1' is not in [0, 9223372036854775807]",
+                 id="negative-label"),
+    pytest.param("a,label\n1.0,99999999999999999999\n",
+                 "row 0, column 'label': label '99999999999999999999' is not in "
+                 "[0, 9223372036854775807]", id="label-beyond-int64"),
+    pytest.param("label\n0\n1\n", "no feature columns besides 'label'",
+                 id="label-only"),
+]
 
 
 class TestMakeBlobs:
@@ -85,6 +108,59 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="non-finite"):
             data.load_csv(p, "label")
 
+    @pytest.mark.parametrize("text, message", BAD_CSV_FILES)
+    def test_bad_file_names_path_and_cause(self, tmp_path, text, message):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(DataError, match=f"^{re.escape(f'{p}: {message}')}$"):
+            data.load_csv(p, "label")
+
+    @pytest.mark.parametrize("text, message", BAD_CSV_FILES)
+    def test_bad_file_exits_1_naming_path_and_cause(self, tmp_path, capsys, text,
+                                                   message):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        cfg = golden_config_dict(
+            dataset={"type": "csv", "path": str(p), "label_column": "label"},
+            output_dir=str(tmp_path / "out"),
+        )
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert cli.main(["train", "--config", str(tmp_path / "cfg.json")]) == 1
+        assert capsys.readouterr().err == f"error: {p}: {message}\n"
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = "label,a,b\n0,1.0,2.0\n1,3.0,4.0\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        a, b = data.load_csv(plain, "label"), data.load_csv(marked, "label")
+        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a.labels, b.labels)
+
+
+class TestLabeledDataset:
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0)])
+    def test_empty_feature_matrix_rejected(self, shape):
+        n = shape[0]
+        with pytest.raises(DataError, match=re.escape(f"got shape {shape}")):
+            data.LabeledDataset(np.zeros(shape), np.zeros(n), np.arange(n), 2)
+
+
+class TestStandardizeFeatures:
+    def test_columns_have_zero_mean_and_unit_std(self):
+        ds = data.make_blobs(20, np.array([[0.0, 10.0], [5.0, -3.0]]), std=2.0, seed=4)
+        z = data.standardize_features(ds)
+        assert np.allclose(z.features.mean(axis=0), 0.0, atol=1e-12)
+        assert np.allclose(z.features.std(axis=0), 1.0, rtol=1e-12)
+        assert np.array_equal(z.labels, ds.labels) and np.array_equal(z.ids, ds.ids)
+
+    def test_constant_column_rejected(self):
+        ds = data.LabeledDataset(np.array([[1.0, 2.0], [3.0, 2.0]]),
+                                 np.array([0, 1]), np.arange(2), 2)
+        with pytest.raises(DataError, match="cannot standardize a constant feature"):
+            data.standardize_features(ds)
+
 
 def _write_idx_pair(tmp_path, images, labels):
     n, rows, cols = images.shape
@@ -130,6 +206,12 @@ class TestLoadIdx:
         img_path, lab_path = _write_idx_pair(tmp_path, images, np.zeros(0))
         text = f"{img_path}: empty dataset (no images)"
         with pytest.raises(DataError, match=f"^{re.escape(text)}$"):
+            data.load_idx(img_path, lab_path)
+
+    def test_images_without_pixels_rejected(self, tmp_path):
+        images = np.zeros((2, 0, 3), dtype=np.uint8)
+        img_path, lab_path = _write_idx_pair(tmp_path, images, np.zeros(2))
+        with pytest.raises(DataError, match=re.escape("got shape (2, 0)")):
             data.load_idx(img_path, lab_path)
 
     def test_truncated_file(self, tmp_path):
@@ -234,3 +316,52 @@ class TestGather:
         ds = data.make_blobs(5, np.array([[0.0], [5.0]]), std=1.0, seed=0)
         with pytest.raises(ArgumentError):
             data.gather(ds, np.array([99]))
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestArtifactWriters:
+    @given(st.floats(allow_nan=False))
+    @example(-0.0)
+    @example(1e16)
+    @example(0.1)
+    @example(5e-324)
+    @example(float("inf"))
+    @example(float("-inf"))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_csv_float_cell_round_trips_bit_for_bit(self, tmp_path, x):
+        path = tmp_path / "cells.csv"
+        data.write_csv(path, ["x"], [[x]])
+        with path.open(newline="", encoding="utf-8") as fh:
+            header, (cell,) = csv.reader(fh)
+        assert header == ["x"]
+        assert _bits(float(cell)) == _bits(x)
+
+    def test_csv_rows_may_be_an_iterator(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        data.write_csv(path, [0, 1], ([i, "a,b"] for i in range(2)))
+        assert path.read_bytes() == b'0,1\n0,"a,b"\n1,"a,b"\n'
+
+    def test_json_lines_one_sorted_object_per_line(self, tmp_path):
+        objects = [{"b": 1, "a": [0.5, None]}, {"z": "x\ny", "c": {"e": 2, "d": 1}}]
+        path = tmp_path / "objs.jsonl"
+        data.write_json_lines(path, iter(objects))
+        text = path.read_bytes().decode("utf-8")
+        lines = text.split("\n")
+        assert lines[-1] == "" and len(lines) == len(objects) + 1
+        assert lines[:-1] == [json.dumps(o, sort_keys=True) for o in objects]
+        assert [json.loads(line) for line in lines[:-1]] == objects
+        assert lines[0] == '{"a": [0.5, null], "b": 1}'
+
+    def test_golden_experiment_artifacts_have_no_carriage_return(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(golden_config_dict()))
+        assert cli.main(["experiment", "--config", "cfg.json"]) == 0
+        artifacts = sorted((tmp_path / "out").iterdir())
+        assert len(artifacts) == 7
+        assert [p.name for p in artifacts if b"\r" in p.read_bytes()] == []

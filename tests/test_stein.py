@@ -58,6 +58,11 @@ class TestMedianBandwidth:
         h = stein.median_bandwidth(np.array([[0.0], [0.0], [5.0]]))
         assert h == 5.0
 
+    def test_zero_median_falls_back_to_smallest_nonzero(self):
+        # six points at 0 give 15 zero distances of 28: the median is 0
+        X = np.array([[0.0]] * 6 + [[7.0], [2.0]])
+        assert stein.median_bandwidth(X) == 2.0
+
     def test_all_identical_rejected(self):
         with pytest.raises(DataError):
             stein.median_bandwidth(np.array([[1.0], [1.0], [1.0]]))
