@@ -182,9 +182,11 @@ def compute_metric(
 
 def rankings_to_csv(rankings: list[DifficultyRanking], path: str | Path) -> None:
     """One row per (sample, metric): sample_id, metric, score, rank_easy_to_hard."""
-    rows = []
-    for ranking in rankings:
-        position = {sid: r for r, sid in enumerate(ranking.easy_to_hard.tolist())}
-        rows += ([sid, ranking.metric, score, position[sid]] for sid, score
-                 in zip(ranking.sample_ids.tolist(), ranking.scores.tolist()))
-    write_csv(path, ("sample_id", "metric", "score", "rank_easy_to_hard"), rows)
+
+    def rows():
+        for ranking in rankings:
+            position = {sid: r for r, sid in enumerate(ranking.easy_to_hard.tolist())}
+            for sid, score in zip(ranking.sample_ids.tolist(), ranking.scores.tolist()):
+                yield sid, ranking.metric, score, position[sid]
+
+    write_csv(path, ("sample_id", "metric", "score", "rank_easy_to_hard"), rows())
