@@ -109,13 +109,6 @@ class TestLoadCsv:
             data.load_csv(p, "label")
 
     @pytest.mark.parametrize("text, message", BAD_CSV_FILES)
-    def test_bad_file_names_path_and_cause(self, tmp_path, text, message):
-        p = tmp_path / "d.csv"
-        p.write_text(text)
-        with pytest.raises(DataError, match=f"^{re.escape(f'{p}: {message}')}$"):
-            data.load_csv(p, "label")
-
-    @pytest.mark.parametrize("text, message", BAD_CSV_FILES)
     def test_bad_file_exits_1_naming_path_and_cause(self, tmp_path, capsys, text,
                                                    message):
         p = tmp_path / "d.csv"
