@@ -3,8 +3,8 @@
 Subcommands: train, score, rank, unlearn, evaluate, experiment. Exit codes:
 0 full success, 1 usage, configuration or IO failure, 2 when some experiment
 rows failed but the run completed. A command that loops over seeds runs each
-seed in its own `_*_seed` call, so that seed's base and n x n kernel are
-freed before the next seed's base is built.
+seed in its own `_*_seed` call, so that seed's base is freed before the next
+seed's base is built; the n x n Stein kernel never outlives scoring.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ import sys
 from pathlib import Path
 
 from . import experiment as exp
-from . import scoring, stein, unlearn
+from . import scoring, unlearn
 from .config import ExperimentConfig, dump_config, load_config
 from .data import split
-from .errors import ConfigurationError, SteinUnlearnError
+from .errors import ConfigurationError, DataError, SteinUnlearnError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -86,17 +86,17 @@ def cmd_score(config: ExperimentConfig, model_path: str | None,
 def _score_seed(config: ExperimentConfig, seed: int, model_path: str | None,
                 kernel_csv: bool, out: Path) -> None:
     """Score one seed's base and write its rankings (and kernel)."""
+    kernel_path = out / f"kernel-s{seed}.csv" if kernel_csv else None
     if model_path:
         ds = config.dataset.build(seed)
         plan = split(ds, config.test_fraction, seed)
         model = exp.read_model_json(model_path)
-        base = exp.score_base(config, seed, ds, plan, model, [])
+        exp.check_fits(model.spec, ds, model_path)
+        base = exp.score_base(config, seed, ds, plan, model, [], kernel_csv=kernel_path)
     else:
-        base = exp.train_base(config, seed)
+        base = exp.train_base(config, seed, kernel_csv=kernel_path)
     path = out / f"rankings-s{seed}.csv"
     scoring.rankings_to_csv([base.rankings[m] for m in config.metrics], path)
-    if kernel_csv:
-        stein.kernel_matrix_to_csv(base.kernel, out / f"kernel-s{seed}.csv")
     print(f"seed {seed}: wrote {path}")
 
 
@@ -110,7 +110,7 @@ def _rank_seed(config: ExperimentConfig, seed: int) -> None:
     """Print one seed's top-k easiest and most difficult ids per metric."""
     base = exp.train_base(config, seed)
     for metric in config.metrics:
-        targets = exp.select_targets(base.rankings[metric], config.top_k_each_end)
+        targets = base.targets[metric]
         easy = ",".join(str(int(i)) for i in targets[exp.EASY])
         hard = ",".join(str(int(i)) for i in targets[exp.DIFFICULT])
         print(f"seed {seed} {metric}: easiest=[{easy}] most_difficult=[{hard}]")
@@ -122,8 +122,8 @@ def cmd_unlearn(config: ExperimentConfig, method: str, target: int, k: int) -> i
         raise ConfigurationError(f"no config block for method {method!r}")
     out = _out_dir(config)
     seed = config.seeds[0]
-    # only the kernel is read, so no metric is ranked
-    base = exp.train_base(dataclasses.replace(config, metrics=()), seed)
+    # only the target's neighbour order is read, so no metric is ranked
+    base = exp.train_base(dataclasses.replace(config, metrics=()), seed, named=(target,))
     report, forget_ids, outcome = exp.run_single(base, target, method_cfg, k, config)
     model_path = out / f"unlearned-s{seed}-{method}-t{target}-k{k}.json"
     exp.write_model_json(outcome.unlearned, model_path)
@@ -155,7 +155,15 @@ def cmd_evaluate(config: ExperimentConfig, original_path: str,
     ds = config.dataset.build(seed)
     plan = split(ds, config.test_fraction, seed).with_forget(targets)
     original = exp.read_model_json(original_path)
-    outcome = unlearn.UnlearnOutcome(exp.read_model_json(unlearned_path), 0)
+    unlearned = exp.read_model_json(unlearned_path)
+    exp.check_fits(original.spec, ds, original_path)
+    exp.check_fits(unlearned.spec, ds, unlearned_path)
+    if unlearned.spec != original.spec:
+        raise DataError(
+            f"{unlearned_path}: {unlearned.spec} differs from {original_path}'s "
+            f"{original.spec}"
+        )
+    outcome = unlearn.UnlearnOutcome(unlearned, 0)
     report = exp.measure(original, outcome, ds, plan, config)
     rows = [exp.RunRow(
         run_id=f"s{seed}-evaluate", seed=seed, metric="manual",

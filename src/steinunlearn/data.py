@@ -214,6 +214,8 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> LabeledDataset
     n_img, rows, cols = struct.unpack(">III", _read_exact(images_path, img_blob, 4, 12))
     if n_img == 0:
         raise DataError(f"{images_path}: empty dataset (no images)")
+    if rows * cols == 0:
+        raise DataError(f"{images_path}: images of {rows}x{cols} have no pixels")
     pixels = _read_exact(images_path, img_blob, 16, n_img * rows * cols)
 
     (lab_magic,) = struct.unpack(">I", _read_exact(labels_path, lab_blob, 0, 4))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -45,14 +45,17 @@ AGGREGATE_MEANS = (
 
 @dataclass
 class TrainedBase:
-    """Everything the per-seed unlearning loop starts from."""
+    """Everything the per-seed unlearning loop starts from (but not the kernel)."""
 
     seed: int
     ds: LabeledDataset
     plan: SplitPlan
     model: diffnet.MlpModel
-    kernel: stein.SteinKernelMatrix
     rankings: dict[str, scoring.DifficultyRanking]
+    # metric -> {EASY: top-k easiest ids, DIFFICULT: top-k most difficult}, extremes first
+    targets: dict[str, dict[str, np.ndarray]]
+    # target id -> every other training id, most Stein-similar first
+    neighbours: dict[int, np.ndarray]
     train_log: list[dict]
 
 
@@ -79,22 +82,36 @@ class RunRow:
         return run_key + measured + [self.status]
 
 
+def check_fits(
+    spec: diffnet.NetworkSpec, ds: LabeledDataset, source: str | Path | None
+) -> None:
+    """Reject a network whose input size differs from the dataset's feature
+    count or whose output layer has fewer units than it has classes.
+
+    `source` is the model file the spec came from, or None for the config's
+    network: a config misfit is a ConfigurationError, a file's a DataError
+    that names the file.
+    """
+    sizes, n_features = spec.layer_sizes, ds.features.shape[1]
+    if sizes[0] != n_features:
+        problem = (f"input size {sizes[0]} differs from the dataset's "
+                   f"{n_features} features")
+    elif sizes[-1] < ds.n_classes:
+        problem = (f"output size {sizes[-1]} is less than the dataset's "
+                   f"{ds.n_classes} classes")
+    else:
+        return
+    if source is None:
+        raise ConfigurationError(f"network.layer_sizes: {problem}")
+    raise DataError(f"{source}: network.layer_sizes: {problem}")
+
+
 def train_model(
     config: ExperimentConfig, seed: int
 ) -> tuple[LabeledDataset, SplitPlan, diffnet.MlpModel, list[dict]]:
     """Build the dataset and split, and train the base model with its log."""
     ds = config.dataset.build(seed)
-    sizes = config.network.layer_sizes
-    if sizes[0] != ds.features.shape[1]:
-        raise ConfigurationError(
-            f"network.layer_sizes: input size {sizes[0]} differs from the "
-            f"dataset's {ds.features.shape[1]} features"
-        )
-    if sizes[-1] < ds.n_classes:
-        raise ConfigurationError(
-            f"network.layer_sizes: output size {sizes[-1]} is less than the "
-            f"dataset's {ds.n_classes} classes"
-        )
+    check_fits(config.network, ds, None)
     plan = split(ds, config.test_fraction, seed)
     model = diffnet.init_network(config.network, seed)
 
@@ -117,9 +134,9 @@ def train_model(
     return ds, plan, model, log
 
 
-def train_base(config: ExperimentConfig, seed: int) -> TrainedBase:
-    """Train the base model, then score and rank every metric."""
-    return score_base(config, seed, *train_model(config, seed))
+def train_base(config: ExperimentConfig, seed: int, **options) -> TrainedBase:
+    """Train the base model, then score it: score_base, with its `options`."""
+    return score_base(config, seed, *train_model(config, seed), **options)
 
 
 def score_base(
@@ -129,8 +146,14 @@ def score_base(
     plan: SplitPlan,
     model: diffnet.MlpModel,
     train_log: list[dict],
+    named: tuple[int, ...] = (),
+    kernel_csv: Path | None = None,
 ) -> TrainedBase:
-    """Score `model` on the training split of `plan` and rank every metric."""
+    """Score `model` on the training split of `plan` and rank every metric.
+
+    The Stein kernel dies with this call: it leaves only the neighbour order of
+    each metric's targets and of the `named` ids (and `kernel_csv`, if given).
+    """
     train_X, train_y = gather(ds, plan.train_ids)
     bandwidth = stein.median_bandwidth(train_X)
     table = stein.score_table(model, train_X, train_y, plan.train_ids)
@@ -148,14 +171,14 @@ def score_base(
         )
         for metric in config.metrics
     }
-    return TrainedBase(seed, ds, plan, model, kernel, rankings, train_log)
-
-
-def select_targets(
-    ranking: scoring.DifficultyRanking, top_k: int
-) -> dict[str, np.ndarray]:
-    """Top-k easiest and top-k most difficult sample ids, extremes first."""
-    return {EASY: ranking.easiest(top_k), DIFFICULT: ranking.hardest(top_k)}
+    top_k = config.top_k_each_end
+    targets = {m: {EASY: r.easy_to_hard[:top_k], DIFFICULT: r.easy_to_hard[::-1][:top_k]}
+               for m, r in rankings.items()}
+    selected = [ids.tolist() for ends in targets.values() for ids in ends.values()]
+    neighbours = {t: kernel.neighbours(t) for t in dict.fromkeys(chain(named, *selected))}
+    if kernel_csv is not None:
+        stein.kernel_matrix_to_csv(kernel, kernel_csv)
+    return TrainedBase(seed, ds, plan, model, rankings, targets, neighbours, train_log)
 
 
 def run_single(
@@ -166,7 +189,7 @@ def run_single(
     config: ExperimentConfig,
 ) -> tuple[UnlearnReport, np.ndarray, unlearn.UnlearnOutcome]:
     """Unlearn one expanded target set and measure the outcome."""
-    forget_ids = unlearn.expand_forget_set(target_id, base.kernel, k)
+    forget_ids = unlearn.expand_forget_set(target_id, base.neighbours[target_id], k)
     plan = base.plan.with_forget(forget_ids)
     method = getattr(unlearn, unlearn.METHOD_FUNCTIONS[method_cfg.method])
     outcome = method(base.model, base.ds, plan, method_cfg)
@@ -197,10 +220,9 @@ def run_base(config: ExperimentConfig, base: TrainedBase) -> list[RunRow]:
     has no report and a status naming the error."""
     rows: list[RunRow] = []
     for metric in config.metrics:
-        targets = select_targets(base.rankings[metric], config.top_k_each_end)
         for end in (EASY, DIFFICULT):
             for target, method_cfg, k in product(
-                targets[end].tolist(), config.methods, config.expansion_ks
+                base.targets[metric][end].tolist(), config.methods, config.expansion_ks
             ):
                 try:
                     report = run_single(base, target, method_cfg, k, config)[0]

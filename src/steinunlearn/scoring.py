@@ -45,13 +45,6 @@ class DifficultyRanking:
     easy_to_hard: np.ndarray
     sample_ids: np.ndarray
 
-    def easiest(self, k: int) -> np.ndarray:
-        return self.easy_to_hard[:k]
-
-    def hardest(self, k: int) -> np.ndarray:
-        """The k most difficult ids, most difficult first."""
-        return self.easy_to_hard[::-1][:k]
-
 
 def mksd(m: SteinKernelMatrix) -> np.ndarray:
     """Row sums of the kernel matrix, diagonal included."""

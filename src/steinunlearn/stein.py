@@ -66,11 +66,15 @@ class SteinKernelMatrix:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def index_of(self, sample_id: int) -> int:
+    def neighbours(self, sample_id: int) -> np.ndarray:
+        """The other sample ids by descending kernel value with `sample_id`,
+        ties broken toward the smaller id."""
         hits = np.flatnonzero(self.sample_ids == sample_id)
         if hits.size != 1:
             raise ArgumentError(f"sample id {sample_id} not in kernel matrix")
-        return int(hits[0])
+        others = np.flatnonzero(self.sample_ids != sample_id)
+        order = np.lexsort((self.sample_ids[others], -self.values[hits[0], others]))
+        return self.sample_ids[others[order]]
 
 
 def median_bandwidth(features: np.ndarray) -> float:

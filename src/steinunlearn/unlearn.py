@@ -15,7 +15,6 @@ import numpy as np
 from . import diffnet
 from .data import LabeledDataset, SplitPlan, gather
 from .errors import ArgumentError, ConfigurationError, NumericalError
-from .stein import SteinKernelMatrix
 
 # The hyperparameters each method reads besides `seed`. Parsing accepts only
 # these in a method's config block, and only these appear in its canonical form.
@@ -162,20 +161,14 @@ def retrain(
     return _sgd_on_retain(diffnet.init_network(model.spec, cfg.seed), ds, plan, cfg)
 
 
-def expand_forget_set(
-    target_id: int, m: SteinKernelMatrix, k: int
-) -> np.ndarray:
+def expand_forget_set(target_id: int, neighbours: np.ndarray, k: int) -> np.ndarray:
     """The target plus its k most Stein-similar samples, ids sorted ascending.
 
-    Ties in kernel value are broken toward the smaller sample id.
+    `neighbours` holds every other training id, most similar first, as
+    `SteinKernelMatrix.neighbours` orders them.
     """
     if k < 0:
         raise ArgumentError(f"k must be >= 0, got {k}")
-    if k >= m.n:
-        raise ArgumentError(f"k={k} exceeds training size {m.n}")
-    idx = m.index_of(target_id)
-    row = m.values[idx]
-    candidates = np.flatnonzero(m.sample_ids != target_id)
-    order = np.lexsort((m.sample_ids[candidates], -row[candidates]))
-    chosen = m.sample_ids[candidates[order[:k]]]
-    return np.sort(np.concatenate([[np.int64(target_id)], chosen]))
+    if k > neighbours.size:
+        raise ArgumentError(f"k={k} exceeds training size {neighbours.size + 1}")
+    return np.sort(np.concatenate([[np.int64(target_id)], neighbours[:k]]))

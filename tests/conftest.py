@@ -132,6 +132,27 @@ def ksd_statistic(m, mode="u_stat"):
     return (total - float(np.trace(m.values))) / (n * (n - 1))
 
 
+def expand_forget_set_oracle(target_id, m, k):
+    """The target plus its k most Stein-similar samples, ids sorted ascending,
+    read straight from the kernel matrix `m`: the reference for
+    `unlearn.expand_forget_set` on `m.neighbours(target_id)`.
+
+    Ties in kernel value are broken toward the smaller sample id.
+    """
+    if k < 0:
+        raise ArgumentError(f"k must be >= 0, got {k}")
+    if k >= m.n:
+        raise ArgumentError(f"k={k} exceeds training size {m.n}")
+    hits = np.flatnonzero(m.sample_ids == target_id)
+    if hits.size != 1:
+        raise ArgumentError(f"sample id {target_id} not in kernel matrix")
+    row = m.values[int(hits[0])]
+    candidates = np.flatnonzero(m.sample_ids != target_id)
+    order = np.lexsort((m.sample_ids[candidates], -row[candidates]))
+    chosen = m.sample_ids[candidates[order[:k]]]
+    return np.sort(np.concatenate([[np.int64(target_id)], chosen]))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -7,6 +7,7 @@ import math
 import re
 import struct
 import tempfile
+import types
 import warnings
 import weakref
 from pathlib import Path
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinunlearn import cli, diffnet, experiment, unlearn
+from steinunlearn import cli, diffnet, experiment, stein, unlearn
 from steinunlearn.config import ExperimentConfig, dump_config, load_config
 from steinunlearn.data import split
 from steinunlearn.errors import ConfigurationError, NumericalError
@@ -270,6 +271,39 @@ class TestNetworkFitsDataset:
         err = capsys.readouterr().err
         assert err == f"error: {message}\n", err
 
+    @pytest.mark.parametrize("flag", ["--model", "--original", "--unlearned"])
+    @pytest.mark.parametrize("layer_sizes, message", NETWORK_MISFITS)
+    def test_misfit_model_file_exits_1_naming_the_file(self, tmp_path, capsys, flag,
+                                                       layer_sizes, message):
+        cfg_path = write_config(tmp_path, output_dir=str(tmp_path / "out"))
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        for path, sizes in ((good, (2, 8, 3)), (bad, layer_sizes)):
+            spec = diffnet.NetworkSpec(tuple(sizes), "relu")
+            experiment.write_model_json(diffnet.init_network(spec, 0), path)
+        if flag == "--model":
+            argv = ["score", "--config", str(cfg_path), "--model", str(bad)]
+        else:
+            models = {"--original": str(good), "--unlearned": str(good), flag: str(bad)}
+            argv = ["evaluate", "--config", str(cfg_path), "--targets", "0",
+                    *(arg for pair in models.items() for arg in pair)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: {message}\n", err
+
+    def test_evaluate_models_of_different_networks_exit_1_naming_both(self, tmp_path,
+                                                                       capsys):
+        cfg_path = write_config(tmp_path, output_dir=str(tmp_path / "out"))
+        original, unlearned = tmp_path / "original.json", tmp_path / "unlearned.json"
+        for path, sizes in ((original, (2, 8, 3)), (unlearned, (2, 16, 3))):
+            spec = diffnet.NetworkSpec(sizes, "relu")
+            experiment.write_model_json(diffnet.init_network(spec, 0), path)
+        argv = ["evaluate", "--config", str(cfg_path), "--targets", "0",
+                "--original", str(original), "--unlearned", str(unlearned)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {unlearned}: ") and f"{original}'s" in err, err
+        assert "(2, 16, 3)" in err and "(2, 8, 3)" in err, err
+
     def test_wider_output_layer_trains(self, tmp_path):
         cfg_path = write_config(
             tmp_path, output_dir=str(tmp_path / "out"),
@@ -288,6 +322,38 @@ def _write_idx_dataset(tmp_path, n_per_class=12, side=2):
                        + pixels.astype(np.uint8).tobytes())
     label_file.write_bytes(struct.pack(">II", 0x801, labels.size) + labels.tobytes())
     return {"type": "idx", "images": str(images), "labels": str(label_file)}
+
+
+@pytest.fixture
+def built_kernels(monkeypatch):
+    """Weak references to the Stein kernel matrices built while the test runs."""
+    refs = []
+    real = stein.stein_kernel_matrix
+
+    def spy(*args, **kwargs):
+        kernel = real(*args, **kwargs)
+        refs.append(weakref.ref(kernel))
+        return kernel
+
+    monkeypatch.setattr(stein, "stein_kernel_matrix", spy)
+    return refs
+
+
+def _reachable_arrays(root):
+    """Every ndarray reachable from `root` through containers, instance
+    attributes and array bases, but not through classes, modules or functions."""
+    skipped = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    arrays, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skipped):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            stack.append(obj.base)
+        stack.extend(gc.get_referents(obj))
+    return arrays
 
 
 class TestExperimentCommand:
@@ -392,25 +458,55 @@ class TestExperimentCommand:
                 assert [row[c] for c in REPORT_COLUMNS[6:]] == [""] * 11
 
     def test_each_base_is_freed_before_the_next_is_built(self, tmp_path,
-                                                         monkeypatch):
+                                                         monkeypatch, built_kernels):
         real = experiment.train_base
-        refs, alive_at_build = [], []
+        bases, alive_at_build = [], []
 
-        def tracking(config, seed):
+        def tracking(config, seed, **options):
             gc.collect()
-            alive_at_build.append(sum(ref() is not None for ref in refs))
-            base = real(config, seed)
-            refs.extend([weakref.ref(base), weakref.ref(base.kernel)])
+            alive_at_build.append(sum(ref() is not None
+                                      for ref in bases + built_kernels))
+            base = real(config, seed, **options)
+            bases.append(weakref.ref(base))
             return base
 
         monkeypatch.setattr(experiment, "train_base", tracking)
         cfg_path = write_config(tmp_path, seeds=[0, 1, 2],
                                 output_dir=str(tmp_path / "out"))
         for command in ("experiment", "score", "rank"):
-            refs.clear()
+            bases.clear()
+            built_kernels.clear()
             alive_at_build.clear()
             assert cli.main([command, "--config", str(cfg_path)]) == 0
             assert alive_at_build == [0, 0, 0], command
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["experiment"], id="experiment"),
+        pytest.param(["score", "--kernel-csv"], id="score-kernel-csv"),
+        pytest.param(["rank"], id="rank"),
+        pytest.param(["unlearn", "--method", "grad_ascent", "--target", "0",
+                      "--k", "2"], id="unlearn"),
+    ])
+    def test_kernel_dies_with_scoring(self, tmp_path, monkeypatch, built_kernels,
+                                      argv):
+        real = experiment.train_base
+        checked = []
+
+        def checking(config, seed, **options):
+            base = real(config, seed, **options)
+            gc.collect()
+            assert len(built_kernels) == 1 and built_kernels[0]() is None
+            arrays = _reachable_arrays(base)
+            assert any(a is base.model.params for a in arrays)
+            n_train = base.plan.train_ids.size
+            assert all(a.size != n_train * n_train for a in arrays)
+            checked.append(seed)
+            return base
+
+        monkeypatch.setattr(experiment, "train_base", checking)
+        cfg_path = write_config(tmp_path, output_dir=str(tmp_path / "out"))
+        assert cli.main([argv[0], "--config", str(cfg_path), *argv[1:]]) == 0
+        assert checked == [0]
 
     def test_seed_override(self, tmp_path):
         cfg_path = write_config(tmp_path, seeds=[0, 1],
@@ -460,6 +556,22 @@ class TestRankAndUnlearnCommands:
         assert model_files
         reloaded = experiment.read_model_json(model_files[0])
         assert reloaded.spec.layer_sizes == (2, 8, 3)
+
+    @pytest.mark.parametrize("target, k, message", [
+        pytest.param(None, 0, "sample id {} not in kernel matrix", id="test-split-id"),
+        pytest.param(0, -1, "k must be >= 0, got -1", id="negative-k"),
+        pytest.param(0, 1000, "k=1000 exceeds training size 72", id="k-too-large"),
+    ])
+    def test_unlearn_error_exits_1(self, tmp_path, capsys, target, k, message):
+        cfg_path = write_config(tmp_path, output_dir=str(tmp_path / "out"))
+        if target is None:
+            config = load_config(cfg_path)
+            ds = config.dataset.build(0)
+            target = int(split(ds, config.test_fraction, 0).test_ids[0])
+        assert cli.main(["unlearn", "--config", str(cfg_path), "--method",
+                         "grad_ascent", "--target", str(target), "--k", str(k)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message.format(target)}\n", err
 
     def test_evaluate_k_expansion_counts_distinct_targets(self, tmp_path):
         out = tmp_path / "out"

@@ -224,9 +224,19 @@ class TestKernelInvariants:
     """`stein_kernel_matrix` is exactly symmetric by construction, with a
     positive diagonal and finite entries."""
 
-    def test_golden_config_kernel(self):
+    def test_golden_config_kernel(self, monkeypatch):
+        built = []
+        real = stein.stein_kernel_matrix
+
+        def spy(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(stein, "stein_kernel_matrix", spy)
         config = ExperimentConfig.from_dict(golden_config_dict())
-        assert_kernel_invariants(experiment.train_base(config, 0).kernel)
+        experiment.train_base(config, 0)
+        assert len(built) == 1
+        assert_kernel_invariants(built[0])
 
     @pytest.mark.parametrize("d", [2, 16])
     @pytest.mark.parametrize("n", [1, 2, 3001])

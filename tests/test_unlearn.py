@@ -4,12 +4,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinunlearn import diffnet, stein, unlearn
 from steinunlearn.data import AccessLog, make_blobs, split
 from steinunlearn.errors import ArgumentError, ConfigurationError, NumericalError
 
-from conftest import random_model
+from conftest import expand_forget_set_oracle, random_model
 
 
 @pytest.fixture(scope="module")
@@ -287,11 +289,11 @@ class TestExpandForgetSet:
 
     def test_k_zero_is_target_alone(self):
         m = self._matrix([[9.0, 1.0], [1.0, 9.0]])
-        assert np.array_equal(unlearn.expand_forget_set(0, m, 0), [0])
+        assert np.array_equal(unlearn.expand_forget_set(0, m.neighbours(0), 0), [0])
 
     def test_k_max_is_everything(self):
         m = self._matrix([[9.0, 1.0, 2.0], [1.0, 9.0, 3.0], [2.0, 3.0, 9.0]])
-        assert np.array_equal(unlearn.expand_forget_set(1, m, 2), [0, 1, 2])
+        assert np.array_equal(unlearn.expand_forget_set(1, m.neighbours(1), 2), [0, 1, 2])
 
     def test_selects_largest_kernel_values(self):
         vals = np.array([
@@ -301,7 +303,7 @@ class TestExpandForgetSet:
             [5.0, 0.0, 0.0, 9.0],
         ])
         m = self._matrix(vals)
-        assert np.array_equal(unlearn.expand_forget_set(0, m, 2), [0, 1, 3])
+        assert np.array_equal(unlearn.expand_forget_set(0, m.neighbours(0), 2), [0, 1, 3])
 
     def test_ties_break_toward_smaller_id(self):
         vals = np.array([
@@ -311,14 +313,54 @@ class TestExpandForgetSet:
             [1.0, 0.0, 0.0, 9.0],
         ])
         m = self._matrix(vals)
-        assert np.array_equal(unlearn.expand_forget_set(0, m, 1), [0, 1])
+        assert np.array_equal(unlearn.expand_forget_set(0, m.neighbours(0), 1), [0, 1])
 
     def test_k_out_of_range(self):
         m = self._matrix([[9.0, 1.0], [1.0, 9.0]])
         with pytest.raises(ArgumentError):
-            unlearn.expand_forget_set(0, m, 2)
+            unlearn.expand_forget_set(0, m.neighbours(0), 2)
 
     def test_nontrivial_ids(self):
         vals = np.array([[9.0, 2.0], [2.0, 9.0]])
         m = self._matrix(vals, ids=[100, 200])
-        assert np.array_equal(unlearn.expand_forget_set(200, m, 1), [100, 200])
+        assert np.array_equal(unlearn.expand_forget_set(200, m.neighbours(200), 1),
+                              [100, 200])
+
+
+@st.composite
+def tied_kernels(draw):
+    """A symmetric matrix over non-contiguous, shuffled ids whose entries come
+    from a few values, so that most rows hold ties."""
+    n = draw(st.integers(1, 9))
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+    levels = draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(levels) - 1),
+                          min_size=n * n, max_size=n * n))
+    values = np.asarray(levels)[picks].reshape(n, n)
+    values = np.triu(values, 1) + np.triu(values, 1).T
+    np.fill_diagonal(values, 9.0)
+    return stein.SteinKernelMatrix(values, np.asarray(ids, dtype=np.int64))
+
+
+class TestNeighboursMatchKernelOracle:
+    @given(m=tied_kernels())
+    @settings(max_examples=200, deadline=None)
+    def test_every_target_and_k(self, m):
+        for target in m.sample_ids.tolist():
+            neighbours = m.neighbours(target)
+            for k in range(m.n):
+                got = unlearn.expand_forget_set(target, neighbours, k)
+                want = expand_forget_set_oracle(target, m, k)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            for k in (-1, m.n):
+                with pytest.raises(ArgumentError) as got_exc:
+                    unlearn.expand_forget_set(target, neighbours, k)
+                with pytest.raises(ArgumentError) as want_exc:
+                    expand_forget_set_oracle(target, m, k)
+                assert str(got_exc.value) == str(want_exc.value)
+
+    def test_unknown_id_names_the_id(self):
+        m = stein.SteinKernelMatrix(np.array([[9.0, 2.0], [2.0, 9.0]]),
+                                    np.array([100, 200]))
+        with pytest.raises(ArgumentError, match="^sample id 150 not in kernel matrix$"):
+            m.neighbours(150)
