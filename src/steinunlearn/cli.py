@@ -18,7 +18,7 @@ from . import experiment as exp
 from . import scoring, unlearn
 from .config import ExperimentConfig, dump_config, load_config
 from .data import split
-from .errors import ConfigurationError, DataError, SteinUnlearnError
+from .errors import ArgumentError, ConfigurationError, DataError, SteinUnlearnError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -120,6 +120,9 @@ def cmd_unlearn(config: ExperimentConfig, method: str, target: int, k: int) -> i
     method_cfg = next((m for m in config.methods if m.method == method), None)
     if method_cfg is None:
         raise ConfigurationError(f"no config block for method {method!r}")
+    # rejected before training; a k beyond the training size fails in expand_forget_set
+    if k < 0:
+        raise ArgumentError(f"k must be >= 0, got {k}")
     out = _out_dir(config)
     seed = config.seeds[0]
     # only the target's neighbour order is read, so no metric is ranked

@@ -59,19 +59,31 @@ def msksd(m: SteinKernelMatrix, global_standardize: bool = False) -> np.ndarray:
     aggregate reacts to its skew rather than its magnitude. The global mode
     (one z-scoring over the whole matrix) exists for sensitivity runs; the
     two modes differ only in the axis the mean and std are taken over.
+
+    One n x n buffer beside the kernel holds every step, in numpy's `std`
+    order: the deviations from the mean are squared in place, summed and
+    divided by the count, and the square root is the std; the deviations
+    are then written again, divided by the std and exponentiated in place.
     """
     values = m.values
     if m.n < 2:
         raise ArgumentError("standardization needs at least 2 values")
     axis = None if global_standardize else 1
-    std = values.std(axis=axis, keepdims=True)
+    mean = values.mean(axis=axis, keepdims=True)
+    buf = np.subtract(values, mean)
+    np.square(buf, out=buf)
+    std = buf.sum(axis=axis, keepdims=True)
+    std /= values.size if global_standardize else values.shape[1]
+    np.sqrt(std, out=std)
     if np.any(std == 0.0):
         if global_standardize:
             raise DataError("kernel matrix is constant; cannot standardize")
         first = int(m.sample_ids[np.argmax(std == 0.0)])
         raise DataError(f"sample {first}: row is constant; cannot standardize")
-    z = (values - values.mean(axis=axis, keepdims=True)) / std
-    return np.exp(z).sum(axis=1)
+    np.subtract(values, mean, out=buf)
+    buf /= std
+    np.exp(buf, out=buf)
+    return buf.sum(axis=1)
 
 
 def ssn(table: ScoreTable) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import pdist
 
 from . import diffnet
 from .data import write_csv
@@ -114,10 +114,21 @@ def stein_kernel_matrix(
                        - ||x_i - x_j||^2/h^4 ]
 
     The scores may come from any density, not just a trained classifier.
-    The upper triangle is computed and mirrored so symmetry is exact, and
-    the diagonal uses its closed form ||s_i||^2 + d/h^2 directly. An
-    overflow is not warned about: it leaves non-finite entries, which the
-    returned matrix reports as a DataError.
+
+    The matrix is built in its own buffer, in this order, and no more than
+    two n x n float64 arrays are alive at once:
+
+    - the Gram part ((s_i.x_i + s_j.x_j) - s_i.x_j - s_j.x_i) / h^2 is
+      written into the buffer, then S @ S.T and d/h^2 are added to it;
+    - each row i of the strict upper triangle takes its squared distances
+      from the condensed `pdist`, subtracts ||x_i - x_j||^2/h^4, is
+      multiplied by k(x_i, x_j), has 0.0 added (a -0.0 left where k
+      underflows becomes +0.0) and is copied into column i, so symmetry is
+      exact;
+    - the diagonal takes its closed form ||s_i||^2 + d/h^2.
+
+    An overflow is not warned about: it leaves non-finite entries, which
+    the returned matrix reports as a DataError.
     """
     if h <= 0:
         raise ConfigurationError(f"bandwidth must be positive, got {h}")
@@ -131,16 +142,26 @@ def stein_kernel_matrix(
 
     with np.errstate(over="ignore", invalid="ignore"):
         h2 = h * h
-        r2 = squareform(pdist(X, "sqeuclidean"))
-        k = np.exp(-r2 / (2.0 * h2))
-        ss = S @ S.T
-        # cross[i,j] = (s_i - s_j) . (x_i - x_j), expanded into four Gram pieces
         sx = np.einsum("ij,ij->i", S, X)
+        vals = np.add(sx[:, None], sx[None, :])
         sxt = S @ X.T
-        cross = sx[:, None] + sx[None, :] - sxt - sxt.T
-        vals = k * (ss + cross / h2 + d / h2 - r2 / (h2 * h2))
-        vals = np.triu(vals, 1)
-        vals = vals + vals.T
+        vals -= sxt
+        vals -= sxt.T
+        del sxt
+        vals /= h2
+        vals += S @ S.T
+        vals += d / h2
+        # condensed squared distances: row i's pairs (i, j > i) are contiguous
+        r2 = pdist(X, "sqeuclidean")
+        start = 0
+        for i in range(n - 1):
+            stop = start + n - 1 - i
+            row, r = vals[i, i + 1:], r2[start:stop]
+            row -= r / (h2 * h2)
+            row *= np.exp(r / -(2.0 * h2))
+            row += 0.0
+            vals[i + 1:, i] = row
+            start = stop
         np.fill_diagonal(vals, np.einsum("ij,ij->i", S, S) + d / h2)
     return SteinKernelMatrix(vals, sample_ids)
 

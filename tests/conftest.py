@@ -1,10 +1,16 @@
 """Shared fixtures and numerical-oracle helpers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from scipy.spatial.distance import pdist, squareform
 
-from steinunlearn import diffnet
-from steinunlearn.errors import ArgumentError, ConfigurationError, ShapeError
+from steinunlearn import diffnet, stein
+from steinunlearn.errors import (
+    ArgumentError, ConfigurationError, DataError, ShapeError, SteinUnlearnError,
+)
 
 
 def rel_close(a, b, rtol, floor=1.0):
@@ -112,6 +118,105 @@ def stein_kernel(
     h2 = h * h
     cross = float((s_a - s_b) @ delta)
     return float(k * (float(s_a @ s_b) + cross / h2 + d / h2 - r2 / (h2 * h2)))
+
+
+def same_bits(a, b):
+    """Equal shapes and values with equal sign bits, so -0.0 differs from +0.0."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def result_or_error(fn, *args):
+    """fn(*args), or the type and text of the SteinUnlearnError it raises."""
+    try:
+        return fn(*args)
+    except SteinUnlearnError as exc:
+        return type(exc), str(exc)
+
+
+def traced_peak(fn):
+    """fn()'s result and the most bytes it held at once beyond what was
+    allocated when it started, as tracemalloc sees them (numpy reports its
+    array buffers to tracemalloc)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Features, scores and a bandwidth for 1-24 samples, spread from
+    overlapping to so far apart at small h that the RBF factor underflows;
+    sometimes the last row repeats the first (a zero off-diagonal distance)."""
+    n = draw(st.integers(1, 24))
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d)) * draw(st.sampled_from([0.01, 1.0, 30.0]))
+    if draw(st.booleans()):
+        X[-1] = X[0]
+    S = rng.normal(size=(n, d)) * draw(st.floats(1e-3, 1e3))
+    return X, S, draw(st.floats(0.05, 20.0))
+
+
+def stein_kernel_matrix_oracle(features, scores, h, sample_ids=None):
+    """Whole-matrix Stein kernel build: the reference for
+    `stein.stein_kernel_matrix`, which must match it bit for bit.
+
+    Every term is a full n x n array; the strict upper triangle is mirrored
+    by `triu + triu.T` and the diagonal takes its closed form.
+    """
+    if h <= 0:
+        raise ConfigurationError(f"bandwidth must be positive, got {h}")
+    X = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    S = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    if X.shape != S.shape:
+        raise ShapeError(f"features {X.shape} and scores {S.shape} must match")
+    n, d = X.shape
+    if sample_ids is None:
+        sample_ids = np.arange(n)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        h2 = h * h
+        r2 = squareform(pdist(X, "sqeuclidean"))
+        k = np.exp(-r2 / (2.0 * h2))
+        ss = S @ S.T
+        # cross[i,j] = (s_i - s_j) . (x_i - x_j), expanded into four Gram pieces
+        sx = np.einsum("ij,ij->i", S, X)
+        sxt = S @ X.T
+        cross = sx[:, None] + sx[None, :] - sxt - sxt.T
+        vals = k * (ss + cross / h2 + d / h2 - r2 / (h2 * h2))
+        vals = np.triu(vals, 1)
+        vals = vals + vals.T
+        np.fill_diagonal(vals, np.einsum("ij,ij->i", S, S) + d / h2)
+    return stein.SteinKernelMatrix(vals, sample_ids)
+
+
+def msksd_oracle(m, global_standardize=False):
+    """Whole-matrix MSKSD with numpy's `std` and `mean`: the reference for
+    `scoring.msksd`, which must match it bit for bit."""
+    values = m.values
+    if m.n < 2:
+        raise ArgumentError("standardization needs at least 2 values")
+    axis = None if global_standardize else 1
+    std = values.std(axis=axis, keepdims=True)
+    if np.any(std == 0.0):
+        if global_standardize:
+            raise DataError("kernel matrix is constant; cannot standardize")
+        first = int(m.sample_ids[np.argmax(std == 0.0)])
+        raise DataError(f"sample {first}: row is constant; cannot standardize")
+    z = (values - values.mean(axis=axis, keepdims=True)) / std
+    return np.exp(z).sum(axis=1)
 
 
 def ksd_statistic(m, mode="u_stat"):

@@ -573,6 +573,17 @@ class TestRankAndUnlearnCommands:
         err = capsys.readouterr().err
         assert err == f"error: {message.format(target)}\n", err
 
+    def test_negative_k_rejected_before_training(self, tmp_path, capsys, monkeypatch):
+        cfg_path = write_config(tmp_path, output_dir=str(tmp_path / "out"))
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("unlearn --k -1 must fail before training")
+
+        monkeypatch.setattr(diffnet, "train", no_training)
+        assert cli.main(["unlearn", "--config", str(cfg_path), "--method",
+                         "grad_ascent", "--target", "0", "--k", "-1"]) == 1
+        assert capsys.readouterr().err == "error: k must be >= 0, got -1\n"
+
     def test_evaluate_k_expansion_counts_distinct_targets(self, tmp_path):
         out = tmp_path / "out"
         cfg_path = write_config(tmp_path, output_dir=str(out))

@@ -3,9 +3,16 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinunlearn import scoring, stein
 from steinunlearn.errors import ArgumentError, ConfigurationError, DataError
+
+from conftest import (
+    kernel_inputs, msksd_oracle, result_or_error, same_bits,
+    stein_kernel_matrix_oracle, traced_peak,
+)
 
 
 def _matrix(values, ids=None):
@@ -143,6 +150,45 @@ class TestMsksd:
     def test_single_sample_rejected(self, global_standardize):
         with pytest.raises(ArgumentError, match="at least 2 values"):
             scoring.msksd(_matrix([[2.5]]), global_standardize)
+
+
+class TestMsksdMatchesOracle:
+    """`msksd` gives the whole-matrix version's bits and error texts in both modes."""
+
+    @staticmethod
+    def assert_same(m, global_standardize):
+        new = result_or_error(scoring.msksd, m, global_standardize)
+        old = result_or_error(msksd_oracle, m, global_standardize)
+        assert type(new) is type(old)
+        if isinstance(old, tuple):
+            assert new == old
+        else:
+            assert same_bits(new, old)
+
+    @given(inputs=kernel_inputs(), global_standardize=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_random_kernels(self, inputs, global_standardize):
+        self.assert_same(stein_kernel_matrix_oracle(*inputs), global_standardize)
+
+    @pytest.mark.parametrize("global_standardize", [False, True])
+    @pytest.mark.parametrize("values", [
+        pytest.param([[1.0, 1.0, 1.0], [1.0, 3.0, 2.0], [1.0, 2.0, 4.0]], id="constant-row"),
+        pytest.param(np.full((3, 3), 2.0), id="constant-matrix"),
+        pytest.param([[2.5]], id="single-sample"),
+    ])
+    def test_degenerate_kernels(self, values, global_standardize):
+        self.assert_same(_matrix(values, ids=np.arange(40, 40 + len(values))),
+                         global_standardize)
+
+
+@pytest.mark.parametrize("global_standardize", [False, True])
+def test_msksd_adds_at_most_one_buffer_to_the_kernel(global_standardize):
+    # tracemalloc sees numpy's buffers; the whole-matrix version adds 2
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(1000, 16))
+    m = stein.stein_kernel_matrix(X, rng.normal(size=(1000, 16)), stein.median_bandwidth(X))
+    _, peak = traced_peak(lambda: scoring.msksd(m, global_standardize))
+    assert peak <= 1.25 * m.values.nbytes, peak / m.values.nbytes
 
 
 class TestSsnAndPc:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from steinunlearn import diffnet, experiment, stein
 from steinunlearn.config import ExperimentConfig
@@ -14,7 +15,8 @@ from steinunlearn.errors import (
 )
 
 from conftest import (
-    fd_grad_params, ksd_statistic, random_model, rbf, rel_close, stein_kernel,
+    fd_grad_params, kernel_inputs, ksd_statistic, random_model, rbf, rel_close,
+    same_bits, stein_kernel, stein_kernel_matrix_oracle, traced_peak,
 )
 from test_golden import golden_config_dict
 
@@ -246,6 +248,47 @@ class TestKernelInvariants:
         S = rng.normal(size=(n, d))
         h = stein.median_bandwidth(X) if n > 1 else 1.0
         assert_kernel_invariants(stein.stein_kernel_matrix(X, S, h))
+
+
+class TestBuildMatchesOracle:
+    """`stein_kernel_matrix` gives the whole-matrix build's bits, signs of
+    zero included, and its error text."""
+
+    @given(inputs=kernel_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_random_inputs(self, inputs):
+        new = stein.stein_kernel_matrix(*inputs)
+        assert same_bits(new.values, stein_kernel_matrix_oracle(*inputs).values)
+
+    def test_far_clusters_underflow_to_positive_zero(self):
+        X = np.array([[0.0, 0.0], [0.5, 0.0], [100.0, 0.0], [100.0, 0.5]])
+        S = np.array([[1.0, -1.0], [0.5, 0.2], [-0.3, 0.4], [0.1, 0.1]])
+        # across the clusters k underflows to 0 and the bracket is negative,
+        # so the entry is -0.0 until the mirror adds 0.0
+        assert np.signbit(stein_kernel(X[0], X[2], S[0], S[2], 1.0))
+        new = stein.stein_kernel_matrix(X, S, 1.0)
+        assert same_bits(new.values, stein_kernel_matrix_oracle(X, S, 1.0).values)
+        across = new.values[:2, 2:]
+        assert np.all(across == 0.0) and not np.any(np.signbit(across))
+
+    def test_overflowing_scores_raise_the_same_error(self):
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        S = np.full((3, 2), 1e200)
+        with pytest.raises(DataError) as new:
+            stein.stein_kernel_matrix(X, S, 1.0)
+        with pytest.raises(DataError) as old:
+            stein_kernel_matrix_oracle(X, S, 1.0)
+        assert str(new.value) == str(old.value) == "kernel matrix contains non-finite values"
+
+
+def test_build_holds_at_most_two_kernel_buffers():
+    # tracemalloc sees numpy's buffers; the whole-matrix build peaks at ~7.1
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(1000, 16))
+    S = rng.normal(size=(1000, 16))
+    h = stein.median_bandwidth(X)
+    m, peak = traced_peak(lambda: stein.stein_kernel_matrix(X, S, h))
+    assert peak <= 2.25 * m.values.nbytes, peak / m.values.nbytes
 
 
 class TestKsdStatistic:
