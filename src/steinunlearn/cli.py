@@ -1,10 +1,12 @@
 """Command-line entry points.
 
-Subcommands: train, score, rank, unlearn, evaluate, experiment. Exit codes:
-0 full success, 1 usage, configuration or IO failure, 2 when some experiment
-rows failed but the run completed. A command that loops over seeds runs each
-seed in its own `_*_seed` call, so that seed's base is freed before the next
-seed's base is built; the n x n Stein kernel never outlives scoring.
+Subcommands: train, score, rank, unlearn, evaluate, experiment. The parser
+binds each one's handler, `cmd_<name>(config, args)`, which reads its own
+flags. `unlearn` rejects a target outside the training split, or a bad `--k`,
+before it trains. Exit codes: 0 full success, 1 usage, configuration or IO
+failure, 2 when some experiment rows failed but the run completed. A command
+that loops over seeds keeps nothing of one seed's base when it builds the
+next; the n x n Stein kernel never outlives scoring.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from pathlib import Path
 from . import experiment as exp
 from . import scoring, unlearn
 from .config import ExperimentConfig, dump_config, load_config
-from .data import split
 from .errors import ArgumentError, ConfigurationError, DataError, SteinUnlearnError
 
 EXIT_OK = 0
@@ -64,7 +65,7 @@ def _out_dir(config: ExperimentConfig) -> Path:
     return out
 
 
-def cmd_train(config: ExperimentConfig) -> int:
+def cmd_train(config: ExperimentConfig, args: argparse.Namespace) -> int:
     out = _out_dir(config)
     for seed in config.seeds:
         _, _, model, log = exp.train_model(config, seed)
@@ -75,23 +76,21 @@ def cmd_train(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_score(config: ExperimentConfig, model_path: str | None,
-              kernel_csv: bool) -> int:
+def cmd_score(config: ExperimentConfig, args: argparse.Namespace) -> int:
     out = _out_dir(config)
     for seed in config.seeds:
-        _score_seed(config, seed, model_path, kernel_csv, out)
+        _score_seed(config, seed, args, out)
     return EXIT_OK
 
 
-def _score_seed(config: ExperimentConfig, seed: int, model_path: str | None,
-                kernel_csv: bool, out: Path) -> None:
+def _score_seed(config: ExperimentConfig, seed: int, args: argparse.Namespace,
+                out: Path) -> None:
     """Score one seed's base and write its rankings (and kernel)."""
-    kernel_path = out / f"kernel-s{seed}.csv" if kernel_csv else None
-    if model_path:
-        ds = config.dataset.build(seed)
-        plan = split(ds, config.test_fraction, seed)
-        model = exp.read_model_json(model_path)
-        exp.check_fits(model.spec, ds, model_path)
+    kernel_path = out / f"kernel-s{seed}.csv" if args.kernel_csv else None
+    if args.model:
+        ds, plan = exp.seed_split(config, seed)
+        model = exp.read_model_json(args.model)
+        exp.check_fits(model.spec, ds, args.model)
         base = exp.score_base(config, seed, ds, plan, model, [], kernel_csv=kernel_path)
     else:
         base = exp.train_base(config, seed, kernel_csv=kernel_path)
@@ -100,31 +99,29 @@ def _score_seed(config: ExperimentConfig, seed: int, model_path: str | None,
     print(f"seed {seed}: wrote {path}")
 
 
-def cmd_rank(config: ExperimentConfig) -> int:
+def cmd_rank(config: ExperimentConfig, args: argparse.Namespace) -> int:
     for seed in config.seeds:
-        _rank_seed(config, seed)
+        # only the targets are kept, so the base is freed before the next is built
+        targets = exp.train_base(config, seed).targets
+        for metric in config.metrics:
+            easy = ",".join(str(int(i)) for i in targets[metric][exp.EASY])
+            hard = ",".join(str(int(i)) for i in targets[metric][exp.DIFFICULT])
+            print(f"seed {seed} {metric}: easiest=[{easy}] most_difficult=[{hard}]")
     return EXIT_OK
 
 
-def _rank_seed(config: ExperimentConfig, seed: int) -> None:
-    """Print one seed's top-k easiest and most difficult ids per metric."""
-    base = exp.train_base(config, seed)
-    for metric in config.metrics:
-        targets = base.targets[metric]
-        easy = ",".join(str(int(i)) for i in targets[exp.EASY])
-        hard = ",".join(str(int(i)) for i in targets[exp.DIFFICULT])
-        print(f"seed {seed} {metric}: easiest=[{easy}] most_difficult=[{hard}]")
-
-
-def cmd_unlearn(config: ExperimentConfig, method: str, target: int, k: int) -> int:
+def cmd_unlearn(config: ExperimentConfig, args: argparse.Namespace) -> int:
+    method, target, k = args.method, args.target, args.k
     method_cfg = next((m for m in config.methods if m.method == method), None)
     if method_cfg is None:
         raise ConfigurationError(f"no config block for method {method!r}")
-    # rejected before training; a k beyond the training size fails in expand_forget_set
-    if k < 0:
-        raise ArgumentError(f"k must be >= 0, got {k}")
-    out = _out_dir(config)
     seed = config.seeds[0]
+    # the split alone decides whether the target and k are valid: check before training
+    train_ids = exp.seed_split(config, seed)[1].train_ids
+    if target not in train_ids:
+        raise ArgumentError(f"sample id {target} not in kernel matrix")
+    unlearn.expand_forget_set(target, train_ids[train_ids != target], k)
+    out = _out_dir(config)
     # only the target's neighbour order is read, so no metric is ranked
     base = exp.train_base(dataclasses.replace(config, metrics=()), seed, named=(target,))
     report, forget_ids, outcome = exp.run_single(base, target, method_cfg, k, config)
@@ -145,25 +142,24 @@ def cmd_unlearn(config: ExperimentConfig, method: str, target: int, k: int) -> i
     return EXIT_OK
 
 
-def cmd_evaluate(config: ExperimentConfig, original_path: str,
-                 unlearned_path: str, target_text: str) -> int:
+def cmd_evaluate(config: ExperimentConfig, args: argparse.Namespace) -> int:
     try:
-        targets = [int(t) for t in target_text.split(",")]
+        targets = [int(t) for t in args.targets.split(",")]
     except ValueError:
         raise ConfigurationError(
-            f"--targets: expected comma-separated sample ids, got {target_text!r}"
+            f"--targets: expected comma-separated sample ids, got {args.targets!r}"
         ) from None
     out = _out_dir(config)
     seed = config.seeds[0]
-    ds = config.dataset.build(seed)
-    plan = split(ds, config.test_fraction, seed).with_forget(targets)
-    original = exp.read_model_json(original_path)
-    unlearned = exp.read_model_json(unlearned_path)
-    exp.check_fits(original.spec, ds, original_path)
-    exp.check_fits(unlearned.spec, ds, unlearned_path)
+    ds, plan = exp.seed_split(config, seed)
+    plan = plan.with_forget(targets)
+    original = exp.read_model_json(args.original)
+    unlearned = exp.read_model_json(args.unlearned)
+    exp.check_fits(original.spec, ds, args.original)
+    exp.check_fits(unlearned.spec, ds, args.unlearned)
     if unlearned.spec != original.spec:
         raise DataError(
-            f"{unlearned_path}: {unlearned.spec} differs from {original_path}'s "
+            f"{args.unlearned}: {unlearned.spec} differs from {args.original}'s "
             f"{original.spec}"
         )
     outcome = unlearn.UnlearnOutcome(unlearned, 0)
@@ -180,7 +176,7 @@ def cmd_evaluate(config: ExperimentConfig, original_path: str,
     return EXIT_OK
 
 
-def cmd_experiment(config: ExperimentConfig) -> int:
+def cmd_experiment(config: ExperimentConfig, args: argparse.Namespace) -> int:
     out = _out_dir(config)
     rows = [row for seed in config.seeds
             for row in _experiment_seed(config, seed, out)]
@@ -216,36 +212,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, summary: str, *overrides: str) -> argparse.ArgumentParser:
+    # cmd_* are read when the parser is built, so a wrapper set on one is bound
+    def command(name: str, handler, summary: str,
+                *overrides: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, help="JSON experiment config")
         for flag in overrides:
             p.add_argument(flag, **OVERRIDES[flag])
         return p
 
-    command("train", "train the base model per seed", "--out", "--seed")
+    command("train", cmd_train, "train the base model per seed", "--out", "--seed")
 
-    p_score = command("score", "write per-sample difficulty rankings",
+    p_score = command("score", cmd_score, "write per-sample difficulty rankings",
                       "--out", "--seed", "--metrics")
     p_score.add_argument("--model", help="score an existing model file instead")
     p_score.add_argument("--kernel-csv", action="store_true",
                          help="also dump the Stein kernel matrix")
 
-    command("rank", "print top-k easiest/most difficult ids", "--seed", "--metrics")
+    command("rank", cmd_rank, "print top-k easiest/most difficult ids",
+            "--seed", "--metrics")
 
-    p_unlearn = command("unlearn", "unlearn one target sample", "--out", "--seed")
+    p_unlearn = command("unlearn", cmd_unlearn, "unlearn one target sample",
+                        "--out", "--seed")
     p_unlearn.add_argument("--method", required=True, choices=unlearn.METHODS)
     p_unlearn.add_argument("--target", required=True, type=int)
     p_unlearn.add_argument("--k", type=int, default=0,
                            help="expansion size (similar samples to include)")
 
-    p_eval = command("evaluate", "evaluate an unlearned model file", "--out", "--seed")
+    p_eval = command("evaluate", cmd_evaluate, "evaluate an unlearned model file",
+                     "--out", "--seed")
     p_eval.add_argument("--original", required=True, help="original model JSON")
     p_eval.add_argument("--unlearned", required=True, help="unlearned model JSON")
     p_eval.add_argument("--targets", required=True,
                         help="comma-separated forget sample ids")
 
-    command("experiment", "full train/score/unlearn/evaluate run", *OVERRIDES)
+    command("experiment", cmd_experiment, "full train/score/unlearn/evaluate run",
+            *OVERRIDES)
     return parser
 
 
@@ -256,18 +259,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on a usage error, but 2 here means failed rows
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
-        config = _apply_overrides(load_config(args.config), args)
-        if args.command == "train":
-            return cmd_train(config)
-        if args.command == "score":
-            return cmd_score(config, args.model, args.kernel_csv)
-        if args.command == "rank":
-            return cmd_rank(config)
-        if args.command == "unlearn":
-            return cmd_unlearn(config, args.method, args.target, args.k)
-        if args.command == "evaluate":
-            return cmd_evaluate(config, args.original, args.unlearned, args.targets)
-        return cmd_experiment(config)
+        return args.handler(_apply_overrides(load_config(args.config), args), args)
     except (SteinUnlearnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

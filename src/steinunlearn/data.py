@@ -99,7 +99,10 @@ def make_blobs(
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)
     noise = rng.standard_normal((n_classes * n_per_class, dim))
-    features = centers[labels] + std * noise
+    with np.errstate(over="ignore"):
+        features = centers[labels] + std * noise
+    if not np.all(np.isfinite(features)):
+        raise ConfigurationError(f"std {std} with these centers overflows the features")
     return LabeledDataset(features, labels, np.arange(labels.size), n_classes)
 
 

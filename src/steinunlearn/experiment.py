@@ -106,13 +106,18 @@ def check_fits(
     raise DataError(f"{source}: network.layer_sizes: {problem}")
 
 
+def seed_split(config: ExperimentConfig, seed: int) -> tuple[LabeledDataset, SplitPlan]:
+    """The seed's dataset and its train/test split: every command makes them here."""
+    ds = config.dataset.build(seed)
+    return ds, split(ds, config.test_fraction, seed)
+
+
 def train_model(
     config: ExperimentConfig, seed: int
 ) -> tuple[LabeledDataset, SplitPlan, diffnet.MlpModel, list[dict]]:
     """Build the dataset and split, and train the base model with its log."""
-    ds = config.dataset.build(seed)
+    ds, plan = seed_split(config, seed)
     check_fits(config.network, ds, None)
-    plan = split(ds, config.test_fraction, seed)
     model = diffnet.init_network(config.network, seed)
 
     train_X, train_y = gather(ds, plan.train_ids)

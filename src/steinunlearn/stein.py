@@ -83,7 +83,7 @@ def median_bandwidth(features: np.ndarray) -> float:
     if features.shape[0] < 2:
         raise ArgumentError("median bandwidth needs at least 2 points")
     dists = pdist(features)
-    h = float(np.median(dists))
+    h = float(np.median(dists, overwrite_input=True))
     if h == 0.0:
         nonzero = dists[dists > 0]
         if nonzero.size == 0:

@@ -1,7 +1,9 @@
 """Config validation, canonicalization, CLI subcommands, pipeline behavior."""
 
+import argparse
 import csv
 import gc
+import itertools
 import json
 import math
 import re
@@ -562,27 +564,23 @@ class TestRankAndUnlearnCommands:
         pytest.param(0, -1, "k must be >= 0, got -1", id="negative-k"),
         pytest.param(0, 1000, "k=1000 exceeds training size 72", id="k-too-large"),
     ])
-    def test_unlearn_error_exits_1(self, tmp_path, capsys, target, k, message):
+    def test_unlearn_error_exits_1(self, tmp_path, capsys, monkeypatch,
+                                   target, k, message):
+        # the split alone decides each error, so none may wait for training
         cfg_path = write_config(tmp_path, output_dir=str(tmp_path / "out"))
         if target is None:
             config = load_config(cfg_path)
             ds = config.dataset.build(0)
             target = int(split(ds, config.test_fraction, 0).test_ids[0])
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("unlearn must reject its arguments before training")
+
+        monkeypatch.setattr(diffnet, "train", no_training)
         assert cli.main(["unlearn", "--config", str(cfg_path), "--method",
                          "grad_ascent", "--target", str(target), "--k", str(k)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {message.format(target)}\n", err
-
-    def test_negative_k_rejected_before_training(self, tmp_path, capsys, monkeypatch):
-        cfg_path = write_config(tmp_path, output_dir=str(tmp_path / "out"))
-
-        def no_training(*args, **kwargs):
-            raise AssertionError("unlearn --k -1 must fail before training")
-
-        monkeypatch.setattr(diffnet, "train", no_training)
-        assert cli.main(["unlearn", "--config", str(cfg_path), "--method",
-                         "grad_ascent", "--target", "0", "--k", "-1"]) == 1
-        assert capsys.readouterr().err == "error: k must be >= 0, got -1\n"
 
     def test_evaluate_k_expansion_counts_distinct_targets(self, tmp_path):
         out = tmp_path / "out"
@@ -669,6 +667,17 @@ class TestBadCommandInput:
         assert code == 1
         assert "error: kernel matrix contains non-finite values" in capsys.readouterr().err
 
+    def test_overflowing_blob_std_exits_1_with_one_line(self, tmp_path, capsys):
+        dataset = {**_MINI["dataset"], "std": 1e308}
+        cfg_path = write_config(tmp_path, dataset=dataset,
+                                output_dir=str(tmp_path / "out"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # a warning would print to stderr
+            assert cli.main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: std 1e+308 with these centers overflows "
+                       "the features\n"), err
+
     @pytest.mark.parametrize("target", ["config", "dataset"])
     def test_non_utf8_file_exits_1(self, tmp_path, capsys, target):
         # UTF-16 text, which starts with the byte order mark ff fe
@@ -704,7 +713,10 @@ class TestBadCommandInput:
         assert "usage:" in capsys.readouterr().out
 
 
-# The overrides each subcommand reads, and a value for each override.
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# The overrides each subcommand reads, in the README's CLI table, and a value
+# for each override.
 ACCEPTED_OVERRIDES = {
     "train": ("--out", "--seed"),
     "score": ("--out", "--seed", "--metrics"),
@@ -820,6 +832,18 @@ class TestOverrides:
         assert message in capsys.readouterr().err
         written = [p.name for p in root.rglob("*") if p.is_file()]
         assert sorted(written) == ["cfg.json", "model.json"], written
+
+    def test_readme_cli_table_matches_the_parser(self):
+        lines = README.read_text(encoding="utf-8").splitlines()
+        start = lines.index("| subcommand | overrides |") + 2  # skip the rule
+        table = {}
+        for line in itertools.takewhile(lambda l: l.startswith("|"), lines[start:]):
+            command, flags = (cell.strip(" `") for cell in line.strip("|").split("|"))
+            table[command] = tuple(f.strip(" `") for f in flags.split(",") if f.strip())
+        subcommands = next(action.choices for action in cli.build_parser()._actions
+                           if isinstance(action, argparse._SubParsersAction))
+        assert list(table.items()) == list(ACCEPTED_OVERRIDES.items())
+        assert list(table) == list(subcommands)
 
 
 class TestFiniteOrFailed:

@@ -291,6 +291,14 @@ def test_build_holds_at_most_two_kernel_buffers():
     assert peak <= 2.25 * m.values.nbytes, peak / m.values.nbytes
 
 
+def test_median_bandwidth_holds_at_most_the_condensed_distances():
+    # the condensed distances are half an n x n buffer; a copied median adds another
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(1000, 16))
+    _, peak = traced_peak(lambda: stein.median_bandwidth(X))
+    assert peak <= 0.6 * 1000 * 1000 * 8, peak / (1000 * 1000 * 8)
+
+
 class TestKsdStatistic:
     def test_constant_matrix(self):
         vals = np.full((4, 4), 2.5)
